@@ -26,13 +26,13 @@ from itertools import combinations
 
 from .errors import CasError
 from .hasse import exponents_divisible
+from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
 from .nevanlinna import PiecewiseLinear, counting, norm_profile
 from .radicals import radical, sigma_radical_gcd, square_free_part, trunc_gcd
 from .wronskian import (WronskianCertificate, collection_independence_index, f_rank,
                         field_rank, coeff_vector_basis, find_certificate)
 
-MAX_FUNCTIONS = 13  # exhaustive subset searches stop making sense beyond n = 12
 DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
 
 
@@ -60,12 +60,6 @@ def _gcd_of(fs, idxs) -> MvPoly:
         if acc.is_constant():
             break
     return acc.normalized()
-
-
-def _guard(fs):
-    if len(fs) > MAX_FUNCTIONS:
-        raise CasError("GUARD_EXCEEDED",
-                       f"{len(fs)} functions exceed the exhaustive-search guard")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +103,7 @@ def bm_partition(fs) -> BmPartition:
     no-vanishing-subsum hypothesis guarantees such a crossing circuit exists
     at every stage.
     """
-    _guard(fs)
+    guard_poly_count(len(fs))
     n = len(fs)
     if not _sum_of(fs, range(n)).is_zero():
         raise CasError("NOT_SUM_ZERO", "the functions do not sum to zero")
@@ -141,7 +135,7 @@ def bm_partition(fs) -> BmPartition:
 
 def split_vanishing_subsums(fs):
     """Partition of the index set into minimal vanishing subsums."""
-    _guard(fs)
+    guard_poly_count(len(fs))
     n = len(fs)
     if not _sum_of(fs, range(n)).is_zero():
         raise CasError("NOT_SUM_ZERO", "the functions do not sum to zero")
@@ -277,11 +271,6 @@ def analyze_block(fs, indices=None, k_override=None) -> BlockAnalysis:
                          partition=part, certificates=certs, wronskian_product=wprod)
 
 
-def abc_constants(fs) -> AbcConstants:
-    """Constants for a vanishing sum with no vanishing proper subsum."""
-    return analyze_block(fs).constants
-
-
 # ---------------------------------------------------------------------------
 # reporting structures
 
@@ -406,7 +395,7 @@ def verify_basic_abc(f0: MvPoly, f1: MvPoly, rhos=None, instance_id="") -> AbcRe
 # shared hypothesis checks for the sum-zero theorems
 
 def _common_gates(rep: AbcReport, fs) -> bool:
-    _guard(fs)
+    guard_poly_count(len(fs))
     rep.add_hypothesis("size", len(fs) >= 3,
                        witness=f"{len(fs)} functions")
     rep.add_hypothesis("sum_zero", _sum_of(fs, range(len(fs))).is_zero())

@@ -29,8 +29,11 @@ COMMANDS = ("norm", "counting", "radical", "sqfree", "hasse", "wronskian",
             "corollaries", "corpus-run")
 
 
-def _parse_rhos(text: str):
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+def _parse_rhos(parts):
+    try:
+        return [Fraction(str(part)) for part in parts]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CasError("VALIDATION_ERROR", f"bad sample radius: {exc}") from exc
 
 
 def _pl_doc(pl):
@@ -64,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="relative-primality level")
         p.add_argument("--seed", type=int, default=0, help="corpus seed")
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--max-n", type=int, default=12, help="guard on the number of functions")
         p.add_argument("--oracle-degree-cap", type=int)
         if name == "corpus-run":
             p.add_argument("--count", type=int, default=5)
@@ -81,19 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instance(args) -> Instance:
     if not args.instance:
         raise CasError("VALIDATION_ERROR", "--instance is required for this command")
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = parse_instance(fh.read())
-    if len(inst.polys) > args.max_n + 1:
-        raise CasError("GUARD_EXCEEDED",
-                       f"{len(inst.polys)} polynomials exceed --max-n {args.max_n}")
-    return inst
+    try:
+        with open(args.instance, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CasError("UNREADABLE_INSTANCE", f"cannot read {args.instance!r}: {exc}") from exc
+    return parse_instance(text)
 
 
 def _rhos_for(args, inst: Instance):
     if args.rho:
-        return _parse_rhos(args.rho)
+        return _parse_rhos(part for part in args.rho.split(",") if part.strip())
     if inst is not None and "rho" in inst.params:
-        return [Fraction(str(x)) for x in inst.params["rho"]]
+        return _parse_rhos(inst.params["rho"])
     return list(DEFAULT_RHOS)
 
 
@@ -133,13 +135,16 @@ def _cmd_norm(args):
 def _cmd_counting(args):
     inst = _load_instance(args)
     ell = _param(args, inst, "ell", "ell")
+    if ell is not None and not (isinstance(ell, int) and ell >= 1):
+        raise CasError("VALIDATION_ERROR",
+                       f"truncation level ell = {ell!r} must be a positive integer")
     entries = []
     for f in inst.polys:
         cd = counting(f)
         entry = {"poly": str(f), "counting": _counting_doc(cd),
                  "poisson_constant": _frac_str(poisson_constant(f))}
-        if ell:
-            entry["truncated"] = _counting_doc(truncated_counting(f, int(ell)))
+        if ell is not None:
+            entry["truncated"] = _counting_doc(truncated_counting(f, ell))
         entries.append(entry)
     doc = {"id": inst.instance_id, "command": "counting", "entries": entries}
     if "trunc_order" in inst.params:
@@ -284,7 +289,7 @@ def _cmd_corpus_run(args):
                       field=field_spec_from_code(args.field), m=args.m, n=args.n,
                       degree_bound=args.deg, coprimality=args.mode)
     instances = generate_corpus(spec)
-    rhos = _parse_rhos(args.rho) if args.rho else list(DEFAULT_RHOS)
+    rhos = _rhos_for(args, None)
     reports = []
     worst = 0
     for inst in instances:

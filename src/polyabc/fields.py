@@ -8,7 +8,7 @@ Three field kinds are supported:
 
 All absolute values are handled on a log-base-p scale, so every comparison
 the rest of the package makes is an exact comparison of ``Fraction`` values.
-``log_abs(a)`` returns log_p|a| as a ``Fraction`` and ``NEG_INFINITY`` for 0.
+``a.log_abs()`` returns log_p|a| as a ``Fraction`` and ``NEG_INFINITY`` for 0.
 """
 
 from __future__ import annotations
@@ -462,27 +462,6 @@ class Coeff:
 
     def __repr__(self):
         return f"Coeff({self.spec}, {self})"
-
-
-def field_arith(a: Coeff, b: Coeff, op: str) -> Coeff:
-    """Dispatch form of the four field operations ('+', '-', '*', '/')."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise CasError("VALIDATION_ERROR", f"unknown operation {op!r}")
-
-
-def log_abs(a: Coeff):
-    return a.log_abs()
-
-
-def coeff_pth_root(a: Coeff, s: int = 1) -> Coeff:
-    return a.pth_root(s)
 
 
 def _split_top_level_slash(text: str):

@@ -27,8 +27,14 @@ FIELD_CODES = {
     "f2t": (RATFUNC_T_ADIC, 2), "f3t": (RATFUNC_T_ADIC, 3), "f5t": (RATFUNC_T_ADIC, 5),
 }
 
-MAX_N = 12
-MAX_DEGREE = 10
+MAX_POLYS = 13     # functions per tuple: the engine's subset searches are exhaustive
+MAX_DEGREE = 10    # degree bound of generated corpora
+
+
+def guard_poly_count(count: int):
+    """The one bound on the number of functions a tuple may hold."""
+    if count > MAX_POLYS:
+        raise CasError("GUARD_EXCEEDED", f"{count} functions exceed the limit of {MAX_POLYS}")
 
 
 @dataclass
@@ -94,6 +100,9 @@ def instance_from_dict(doc: dict) -> Instance:
     spec = FieldSpec(fdoc["kind"], int(fdoc["p"]))
     var_names = [str(v) for v in doc["vars"]]
     m = len(var_names)
+    if not isinstance(doc["polys"], list) or not all(isinstance(pd, list) for pd in doc["polys"]):
+        raise CasError("VALIDATION_ERROR", "polys must be a list of polynomials")
+    guard_poly_count(len(doc["polys"]))
     polys = [structured_to_poly(spec, m, pd) for pd in doc["polys"]]
     params = doc.get("params", {})
     if not isinstance(params, dict):
@@ -128,8 +137,11 @@ class CorpusSpec:
     char_mode: str = ""             # informational; validated when set
 
     def validate(self):
-        if self.n > MAX_N:
-            raise CasError("GUARD_EXCEEDED", f"n = {self.n} exceeds {MAX_N}")
+        if self.count < 0:
+            raise CasError("VALIDATION_ERROR", f"count = {self.count} is negative")
+        if self.m < 1:
+            raise CasError("VALIDATION_ERROR", f"m = {self.m}: need at least one variable")
+        guard_poly_count(self.n + 1)
         if self.degree_bound > MAX_DEGREE:
             raise CasError("GUARD_EXCEEDED",
                            f"degree bound {self.degree_bound} exceeds {MAX_DEGREE}")

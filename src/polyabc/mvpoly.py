@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import CasError, NotDivisible
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, _fpt_gcd
 
 Monomial = tuple  # exponent tuples; total degree is sum of the entries
 
@@ -158,12 +158,6 @@ class MvPoly:
             return MvPoly.zero(self.spec, self.m)
         return MvPoly(self.spec, self.m, {e: x * c for e, x in self.terms.items()})
 
-    def mul_monomial(self, exps: Monomial, c: Coeff) -> "MvPoly":
-        if c.is_zero():
-            return MvPoly.zero(self.spec, self.m)
-        return MvPoly(self.spec, self.m,
-                      {tuple(a + b for a, b in zip(e, exps)): x * c for e, x in self.terms.items()})
-
     def __pow__(self, n: int) -> "MvPoly":
         if n < 0:
             raise CasError("VALIDATION_ERROR", "negative power")
@@ -272,16 +266,6 @@ def poly_from_text(spec: FieldSpec, m: int, text: str) -> MvPoly:
     return MvPoly.from_terms(spec, m, pairs)
 
 
-def poly_arith(f: MvPoly, g: MvPoly, op: str) -> MvPoly:
-    if op == "+":
-        return f + g
-    if op == "-":
-        return f - g
-    if op == "*":
-        return f * g
-    raise CasError("VALIDATION_ERROR", f"unknown operation {op!r}")
-
-
 def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
     """The quotient f/g when g divides f exactly; NotDivisible otherwise."""
     f._check(g)
@@ -341,7 +325,7 @@ def _to_dense_univar(f: MvPoly, v: int):
     return [c if c is not None else zero for c in out]
 
 
-def _fp_dense(f: MvPoly, v: int, p: int):
+def _fp_dense(f: MvPoly, v: int):
     out = [0] * (f.degree_in(v) + 1)
     for e, c in f.terms.items():
         out[e[v]] = c.val
@@ -358,32 +342,6 @@ def _from_dense_univar(spec: FieldSpec, m: int, v: int, coeffs) -> MvPoly:
             e[v] = i
             terms[tuple(e)] = c
     return MvPoly(spec, m, terms)
-
-
-def _univar_gcd_fp(a, b, p):
-    """Monic gcd of dense int coefficient lists over F_p."""
-    def trim(c):
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        return c[:n]
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        rem = list(a)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if c:
-                q = (c * inv) % p
-                for j in range(db + 1):
-                    rem[k - db + j] = (rem[k - db + j] - q * b[j]) % p
-        a, b = b, trim(rem)
-    if not a:
-        return []
-    inv = pow(a[-1], p - 2, p)
-    return [(x * inv) % p for x in a]
 
 
 def _int_primitive(c):
@@ -428,7 +386,7 @@ def _univar_gcd_q(a, b):
     return [Fraction(x, a[-1]) for x in a]
 
 
-def _univar_gcd_generic(a, b, spec):
+def _univar_gcd_generic(a, b):
     """Monic Euclid over the coefficient field (used for F_p(t))."""
     def trim(c):
         n = len(c)
@@ -457,13 +415,13 @@ def _univar_gcd_generic(a, b, spec):
 def _gcd_single_var(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
     spec = f.spec
     if spec.kind == PRIME_FIELD:
-        res = _univar_gcd_fp(_fp_dense(f, v, spec.p), _fp_dense(g, v, spec.p), spec.p)
+        res = _fpt_gcd(_fp_dense(f, v), _fp_dense(g, v), spec.p)
         return _from_dense_univar(spec, f.m, v, res)
     if spec.kind == RATIONAL_P_ADIC:
         res = _univar_gcd_q([c.val for c in _to_dense_univar(f, v)],
                             [c.val for c in _to_dense_univar(g, v)])
         return _from_dense_univar(spec, f.m, v, [spec.from_fraction(x) for x in res])
-    res = _univar_gcd_generic(_to_dense_univar(f, v), _to_dense_univar(g, v), spec)
+    res = _univar_gcd_generic(_to_dense_univar(f, v), _to_dense_univar(g, v))
     return _from_dense_univar(spec, f.m, v, res)
 
 

@@ -76,71 +76,57 @@ def f_rank(fs) -> int:
 # ---------------------------------------------------------------------------
 # fraction-free elimination on polynomial matrices
 
-def poly_matrix_rank(M) -> int:
-    """Rank over the fraction field, by Bareiss elimination with pivoting."""
-    M = [list(row) for row in M]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    spec, m = None, None
-    for row in M:
-        for x in row:
-            spec, m = x.spec, x.m
-            break
-        if spec:
-            break
-    prev = MvPoly.one(spec, m)
-    rank = 0
+def _bareiss(M, ncols=None):
+    """Bareiss elimination of the matrix M, in place, over the fraction field.
+
+    Pivots are taken from the first ``ncols`` columns (all by default); any
+    further columns are an augmented block that follows the row operations.
+    Each step divides exactly by the previous pivot, so entries stay
+    polynomials.  Returns (rank, last pivot, sign of the row permutation);
+    the rows from index rank on are zero in the pivot columns.
+    """
+    nrows = len(M)
+    width = len(M[0]) if M else 0
+    ncols = width if ncols is None else ncols
+    prev, sign, rank = None, 1, 0
     for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if not M[i][c].is_zero():
-                piv = i
-                break
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if not M[i][c].is_zero()), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pivot = M[rank][c]
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            sign = -sign
+        prow = M[rank]
+        pivot = prow[c]
+        zero = MvPoly.zero(pivot.spec, pivot.m)
         for i in range(rank + 1, nrows):
             row = M[i]
             head = row[c]
-            for j in range(ncols):
-                num = pivot * row[j] - head * M[rank][j]
-                row[j] = exact_div(num, prev)
+            for j in range(c + 1, width):
+                num = pivot * row[j] - head * prow[j]
+                row[j] = num if prev is None else exact_div(num, prev)
+            row[c] = zero
         prev = pivot
         rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return rank, prev, sign
+
+
+def poly_matrix_rank(M) -> int:
+    """Rank over the fraction field, by Bareiss elimination with pivoting."""
+    return _bareiss([list(row) for row in M])[0]
 
 
 def bareiss_det(M) -> MvPoly:
     """Fraction-free determinant of a square polynomial matrix."""
     M = [list(row) for row in M]
-    n = len(M)
-    if n == 0:
+    if not M:
         raise CasError("DIMENSION_MISMATCH", "empty matrix")
-    spec, mvars = M[0][0].spec, M[0][0].m
-    sign = 1
-    prev = MvPoly.one(spec, mvars)
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if not M[i][k].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return MvPoly.zero(spec, mvars)
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = exact_div(num, prev)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
+    rank, last, sign = _bareiss(M)
+    if rank < len(M):
+        return MvPoly.zero(M[0][0].spec, M[0][0].m)
+    return last if sign == 1 else -last
 
 
 # ---------------------------------------------------------------------------
@@ -289,39 +275,16 @@ def _dependence_witness(fs, s: int):
     m = fs[0].m
     q = spec.p ** s
     rows = _component_matrix(fs, s)
-    n = len(rows)
-    aug = [[MvPoly.one(spec, m) if i == j else MvPoly.zero(spec, m) for j in range(n)]
-           for i in range(n)]
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, n):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pivot = rows[rank][c]
-        for i in range(rank + 1, n):
-            head = rows[i][c]
-            if head.is_zero():
-                continue
-            rows[i] = [pivot * a - head * b for a, b in zip(rows[i], rows[rank])]
-            aug[i] = [pivot * a - head * b for a, b in zip(aug[i], aug[rank])]
-        rank += 1
-    for i in range(n):
-        if all(x.is_zero() for x in rows[i]) and any(not x.is_zero() for x in aug[i]):
-            # stretch the compressed variables back out: z -> z^(p^s)
-            out = []
-            for g in aug[i]:
-                out.append(MvPoly(spec, m,
-                                  {tuple(e * q for e in exps): cc
-                                   for exps, cc in g.terms.items()}))
-            return out
-    return None
+    n, ncols = len(rows), len(rows[0])
+    one, zero = MvPoly.one(spec, m), MvPoly.zero(spec, m)
+    M = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
+    rank, _, _ = _bareiss(M, ncols)
+    if rank == n:
+        return None
+    # row `rank` of [rows | I] is zero left of the block, so its block is a
+    # syzygy; stretch the compressed variables back out: z -> z^(p^s)
+    return [MvPoly(spec, m, {tuple(e * q for e in exps): c for exps, c in g.terms.items()})
+            for g in M[rank][ncols:]]
 
 
 def index_of_independence(fs) -> IndependenceResult:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyabc.abcengine import (abc_constants, bm_partition, detect_k,
+from polyabc.abcengine import (analyze_block, bm_partition, detect_k,
                                split_vanishing_subsums, verify_abc_first,
                                verify_abc_second, verify_basic_abc, verify_corollaries)
 from polyabc.errors import CasError
@@ -100,7 +100,7 @@ def test_bm_partition_minimality_random():
 def test_constants_example_char0():
     z, one = _z(Q2), _one(Q2)
     fs = [z * z, _c(Q2, 2) * z + one, -(z + one) ** 2]
-    consts = abc_constants(fs)
+    consts = analyze_block(fs).constants
     assert (consts.d, consts.c, consts.a, consts.b) == (2, 1, 1, 1)
     assert consts.b >= consts.a_bar >= consts.a >= 1
 
@@ -108,7 +108,7 @@ def test_constants_example_char0():
 def test_constants_example_charp():
     zp, one = _z(F3), _one(F3)
     fs = [one, zp ** 3, -(one + zp ** 3)]
-    consts = abc_constants(fs)
+    consts = analyze_block(fs).constants
     assert (consts.c, consts.a, consts.sigma) == (3, 3, 1)
     assert 3 ** consts.sigma <= consts.a
 
@@ -125,7 +125,7 @@ def test_constants_char0_quadratic_chain():
             continue
         fs.append(closure)
         try:
-            consts = abc_constants(fs)
+            consts = analyze_block(fs).constants
         except CasError:
             continue
         assert consts.b >= consts.a * (consts.a + 1) // 2

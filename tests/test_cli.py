@@ -132,3 +132,33 @@ def test_hasse_command():
     assert code == 0
     doc = _json.loads(out)
     assert doc["entries"][0]["derivative"] == "1"
+
+
+def test_rho_not_a_number_is_error():
+    code, out = _run(["norm", "--instance", "instances/sum_char0.json",
+                      "--rho", "abc", "--format", "machine"])
+    assert code == 1
+    assert json.loads(out)["error"] == "VALIDATION_ERROR"
+
+
+def test_unreadable_instance_is_error():
+    for path in ("instances/no_such_file.json", "instances"):
+        code, out = _run(["norm", "--instance", path, "--format", "machine"])
+        assert code == 1
+        assert json.loads(out)["error"] == "UNREADABLE_INSTANCE"
+
+
+def test_counting_rejects_nonpositive_ell():
+    for ell in ("0", "-1"):
+        code, out = _run(["counting", "--instance", "instances/sum_char0.json",
+                          "--ell", ell, "--format", "machine"])
+        assert code == 1
+        assert json.loads(out)["error"] == "VALIDATION_ERROR"
+
+
+def test_corpus_run_rejects_bad_count_and_m():
+    for flags in (["--count", "-1"], ["--m", "0"]):
+        code, out = _run(["corpus-run", "--field", "q2", "--format", "machine"] + flags)
+        assert code == 1
+        assert json.loads(out)["error"] == "VALIDATION_ERROR"
+

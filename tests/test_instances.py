@@ -1,4 +1,5 @@
 import glob
+import json
 
 import pytest
 
@@ -99,3 +100,31 @@ def test_field_codes():
     assert spec.kind == "ratfunc_t_adic" and spec.p == 3
     with pytest.raises(CasError):
         field_spec_from_code("f9")
+
+
+def test_polys_must_be_a_list_of_polynomials():
+    for polys in ('"oops"', "5", '["oops"]', '[[[[0], "1"]], {}]'):
+        text = ('{"id": "bad", "field": {"kind": "prime_field", "p": 3}, "vars": ["z1"], '
+                f'"polys": {polys}}}')
+        with pytest.raises(CasError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "VALIDATION_ERROR"
+        assert "polys must be a list of polynomials" in str(exc.value)
+
+
+def test_instance_poly_count_guard():
+    def doc(count):
+        return json.dumps({"id": "wide", "field": {"kind": "prime_field", "p": 3},
+                           "vars": ["z1"], "polys": [[[[1], "1"]]] * count})
+    assert len(parse_instance(doc(13)).polys) == 13
+    with pytest.raises(CasError) as exc:
+        parse_instance(doc(14))
+    assert exc.value.code == "GUARD_EXCEEDED"
+
+
+def test_corpus_rejects_negative_count_and_no_variables():
+    for cs in (CorpusSpec(seed=1, count=-1, field=Q2), CorpusSpec(seed=1, count=1, field=Q2, m=0),
+               CorpusSpec(seed=1, count=1, field=Q2, m=-2)):
+        with pytest.raises(CasError) as exc:
+            generate_corpus(cs)
+        assert exc.value.code == "VALIDATION_ERROR"

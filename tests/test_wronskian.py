@@ -1,11 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from polyabc.errors import CasError, SearchExhausted
 from polyabc.mvpoly import MvPoly, multiplicity
-from polyabc.wronskian import (collection_independence_index, f_independent, f_rank,
-                               find_certificate, gen_wronskian, index_of_independence,
+from polyabc.wronskian import (bareiss_det, collection_independence_index, f_independent,
+                               f_rank, find_certificate, gen_wronskian, index_of_independence,
                                poly_matrix_rank)
 
 from conftest import F2, F3, Q2, random_poly
@@ -106,6 +107,27 @@ def test_index_examples():
     assert index_of_independence([one, zp]).index_s == 1
     x, y = _z(F3, 2, 0), _z(F3, 2, 1)
     assert index_of_independence([_one(F3, 2), x ** 3 * y ** 9]).index_s == 2
+    # f_2 = g_0^p f_0 + g_1^p f_1 is dependent over the p-th powers
+    rng = random.Random("witness")
+    seen = 0
+    while seen < 20:
+        spec = rng.choice((F2, F3))
+        m = rng.randint(1, 2)
+        f0, f1, g0, g1 = (random_poly(rng, spec, m, 2, nonzero=True) for _ in range(4))
+        fs = [f0, f1, g0 ** spec.p * f0 + g1 ** spec.p * f1]
+        if not f_independent(fs):
+            continue
+        res = index_of_independence(fs)
+        assert res.index_s > 1
+        level, qs = res.dependent_over
+        q = spec.p ** level
+        assert any(not Q.is_zero() for Q in qs)
+        assert all(e % q == 0 for Q in qs for exps in Q.terms for e in exps)
+        acc = MvPoly.zero(spec, m)
+        for Q, f in zip(qs, fs):
+            acc = acc + Q * f
+        assert acc.is_zero()
+        seen += 1
 
 
 def test_index_wrong_characteristic():
@@ -177,12 +199,54 @@ def test_product_level_divisibility():
             assert multiplicity(W, P) >= e - ell
 
 
+def _cofactor_det(M):
+    if len(M) == 1:
+        return M[0][0]
+    det = MvPoly.zero(M[0][0].spec, M[0][0].m)
+    for j, x in enumerate(M[0]):
+        minor = _cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+        det = det + x * minor if j % 2 == 0 else det - x * minor
+    return det
+
+
+def _largest_nonzero_minor(M):
+    for k in range(min(len(M), len(M[0])), 0, -1):
+        for rs in combinations(range(len(M)), k):
+            for cs in combinations(range(len(M[0])), k):
+                if not _cofactor_det([[M[i][j] for j in cs] for i in rs]).is_zero():
+                    return k
+    return 0
+
+
+def _random_matrix(rng, spec, m, nrows, ncols):
+    """Entries of degree <= 2, some zero; some rows combine earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            g, h = (random_poly(rng, spec, m, 1, max_terms=2) for _ in range(2))
+            rows.append([g * x + h * y for x, y in zip(a, b)])
+        else:
+            rows.append([random_poly(rng, spec, m, 2, max_terms=3) if rng.random() < 0.8
+                         else MvPoly.zero(spec, m) for _ in range(ncols)])
+    return rows
+
+
 def test_poly_matrix_rank_basic():
     z, one = _z(Q2), _one(Q2)
     rows = [[one, z], [z, z * z]]
     assert poly_matrix_rank(rows) == 1
     rows = [[one, z], [z, z * z + one]]
     assert poly_matrix_rank(rows) == 2
+    rng = random.Random("bareiss")
+    for spec in (Q2, F3):
+        for _ in range(40):
+            m, n = rng.randint(1, 2), rng.randint(1, 4)
+            M = _random_matrix(rng, spec, m, n, n)
+            assert bareiss_det(M) == _cofactor_det(M)
+            assert poly_matrix_rank(M) == _largest_nonzero_minor(M)
+            R = _random_matrix(rng, spec, m, rng.randint(1, 4), rng.randint(1, 4))
+            assert poly_matrix_rank(R) == _largest_nonzero_minor(R)
 
 
 def test_f_rank():
