@@ -29,7 +29,8 @@ from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
 from .nevanlinna import PiecewiseLinear, counting, norm_profile
-from .radicals import radical, sigma_radical_gcd, square_free_part, trunc_gcd
+from .radicals import (_levels, radical, sigma_radical_gcd, square_free_part,
+                       stable_radical_level, trunc_gcd)
 from .wronskian import (WronskianCertificate, collection_independence_index, f_rank,
                         field_rank, coeff_vector_basis, find_certificate)
 
@@ -496,8 +497,13 @@ def verify_abc_first(fs, rhos=None, instance_id="") -> AbcReport:
             g_trunc[i] = MvPoly.one(spec, f.m)
             continue
         consts = ana.constants
-        g_trunc[i] = trunc_gcd(f, consts.a)
-        g_charp[i] = sigma_radical_gcd(f, consts.a, consts.sigma) if charp else g_trunc[i]
+        if charp:
+            top = stable_radical_level(f)
+            levels = _levels(f, max(top, consts.sigma))
+            g_trunc[i] = trunc_gcd(f, consts.a, levels[top])
+            g_charp[i] = sigma_radical_gcd(f, consts.a, consts.sigma, levels[consts.sigma])
+        else:
+            g_trunc[i] = g_charp[i] = trunc_gcd(f, consts.a)
 
     b_star = min(a.constants.b for a in live)
     lhs_deg = _max_deg(fs)
@@ -603,24 +609,31 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             f"multi_block: per-index constants max a_bar={a_bar}, min b={b_star}; "
             "no relation between them is asserted")
 
-    F = fs[0]
-    for f in fs[1:]:
-        F = F * f
-    G = trunc_gcd(F, a_bar)
+    F = _product(fs)
+    S = square_free_part(F)
+    G = trunc_gcd(F, a_bar, S)
     lhs_deg = _max_deg(fs)
     rep.notes.append(f"product_truncation_degree={G.total_degree()}")
     rep.add_degree_check("product", lhs_deg, G.total_degree() - b_star)
     margin = (counting(G).integrated + PiecewiseLinear.line(-b_star, 0)
               - _max_log_profile(fs))
     rep.add_margin("product_margin", margin, rhos, primary=True)
-    _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, F=F)
+    _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, S=S)
     if spec.characteristic == 0 and k == 3:
-        _bb_section(rep, fs, rhos, F=F)
+        _bb_section(rep, fs, R=S)  # in characteristic 0, R(F) is S(F)
     return rep
 
 
-def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, F=None):
-    """Squarefree-part corollary: max log|f_j| <= A (N^(1)_F - log r) + O(1)."""
+def _product(fs) -> MvPoly:
+    F = fs[0]
+    for f in fs[1:]:
+        F = F * f
+    return F
+
+
+def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, S=None):
+    """Squarefree-part corollary: max log|f_j| <= A (N^(1)_F - log r) + O(1),
+    with S the square-free part of F = prod f_j, computed here if not given."""
     spec = fs[0].spec
     if c_global is None:
         c_global = 1 if spec.characteristic == 0 else spec.p ** (
@@ -634,11 +647,8 @@ def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, F=None)
     if big_a < 1:
         rep.notes.append("squarefree_corollary_skipped: empty truncation bound")
         return
-    if F is None:
-        F = fs[0]
-        for f in fs[1:]:
-            F = F * f
-    S = square_free_part(F)
+    if S is None:
+        S = square_free_part(_product(fs))
     lhs_deg = _max_deg(fs)
     rep.add_degree_check("squarefree_corollary", lhs_deg,
                          big_a * (S.total_degree() - 1))
@@ -648,14 +658,14 @@ def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, F=None)
     rep.notes.append(f"squarefree_corollary_bound={big_a}")
 
 
-def _bb_section(rep: AbcReport, fs, rhos, F):
-    """Characteristic-0 triple-gcd bound: max deg <= (2n-3)(deg R(F) - 1)."""
+def _bb_section(rep: AbcReport, fs, R):
+    """Characteristic-0 triple-gcd bound: max deg <= (2n-3)(deg R(F) - 1),
+    with R the radical of F = prod f_j."""
     ok, witness = _subsum_gcd_condition(fs)
     if not ok:
         rep.notes.append(f"triple_bound_skipped: {witness}")
         return
     n = len(fs) - 1
-    R = radical(F)
     rep.add_degree_check("triple_gcd_bound", _max_deg(fs),
                          (2 * n - 3) * (R.total_degree() - 1))
 
@@ -682,16 +692,14 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
             block_of[i] = ana
 
     # exact bound via gcd(f_j, R(f_j)^a), with a taken from the block that
-    # realizes the maximal degree
+    # realizes the maximal degree; in characteristic 0, R(f_j) is the
+    # square-free part trunc_gcd takes, and the sweep below reuses it
+    rads = [None if f.is_constant() else radical(f) for f in fs]
     lhs_deg = _max_deg(fs)
     j0 = max(range(len(fs)), key=lambda i: fs[i].total_degree())
     a0 = block_of[j0].constants.a
-    r_values = []
-    for f in fs:
-        if f.is_constant():
-            r_values.append(0)
-        else:
-            r_values.append(trunc_gcd(f, a0).total_degree())
+    r_values = [0 if r is None else trunc_gcd(f, a0, r).total_degree()
+                for f, r in zip(fs, rads)]
     rep.add_degree_check("radical_truncation_exact", lhs_deg,
                          sum(r_values) - a0 * (a0 + 1) // 2)
     rep.notes.append(f"r_a_degrees={r_values} a={a0}")
@@ -699,7 +707,7 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
         a_b = ana.constants.a
         block_lhs = max(fs[i].total_degree() for i in ana.indices)
         block_rhs = sum(
-            0 if fs[i].is_constant() else trunc_gcd(fs[i], a_b).total_degree()
+            0 if rads[i] is None else trunc_gcd(fs[i], a_b, rads[i]).total_degree()
             for i in ana.indices) - a_b * (a_b + 1) // 2
         rep.add_degree_check(f"radical_truncation_block_{ana.indices[0]}",
                              block_lhs, block_rhs)
@@ -708,7 +716,7 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
     d = f_rank(fs)
     n = len(fs) - 1
     n_const = sum(1 for f in fs if f.is_constant())
-    radical_degs = [0 if f.is_constant() else radical(f).total_degree() for f in fs]
+    radical_degs = [0 if r is None else r.total_degree() for r in rads]
     sweep = []
     for A in range(d, n - n_const + 1):
         rhs = A * sum(radical_degs) - A * (A + 1) // 2
@@ -718,9 +726,9 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
         rep.notes.append(f"level_sweep_skipped: empty range [d, n-C] = [{d}, {n - n_const}]")
     else:
         total_n1 = None
-        for f in fs:
-            prof = (PiecewiseLinear.line(0, 0) if f.is_constant()
-                    else counting(radical(f)).integrated)
+        for r in rads:
+            prof = (PiecewiseLinear.line(0, 0) if r is None
+                    else counting(r).integrated)
             total_n1 = prof if total_n1 is None else total_n1 + prof
         A = d
         margin = ((total_n1 + PiecewiseLinear.line(Fraction(-(A + 1), 2), 0)).scale(A)

@@ -21,7 +21,7 @@ from .hasse import hasse_derivative
 from .instances import (CorpusSpec, Instance, field_spec_from_code, generate_corpus,
                         instance_to_dict, parse_instance)
 from .nevanlinna import counting, log_gauss_norm, norm_profile, poisson_constant, truncated_counting
-from .radicals import higher_radical, radical, radical_chain, square_free_part
+from .radicals import higher_radical, radical, radical_chain
 from .wronskian import find_certificate, index_of_independence, collection_independence_index
 
 COMMANDS = ("norm", "counting", "radical", "sqfree", "hasse", "wronskian",
@@ -108,6 +108,18 @@ def _param(args, inst, flag, key, default=None):
     return default
 
 
+def _as_int(value, key):
+    """An integer flag or params value; anything else is a VALIDATION_ERROR."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CasError("VALIDATION_ERROR", f"{key} = {value!r} must be an integer")
+
+
+def _int_param(args, inst, flag, key, default=None):
+    v = _param(args, inst, flag, key, default)
+    return None if v is None else _as_int(v, key)
+
+
 # ---------------------------------------------------------------------------
 # command bodies; each returns (doc, exit_code)
 
@@ -134,8 +146,8 @@ def _cmd_norm(args):
 
 def _cmd_counting(args):
     inst = _load_instance(args)
-    ell = _param(args, inst, "ell", "ell")
-    if ell is not None and not (isinstance(ell, int) and ell >= 1):
+    ell = _int_param(args, inst, "ell", "ell")
+    if ell is not None and ell < 1:
         raise CasError("VALIDATION_ERROR",
                        f"truncation level ell = {ell!r} must be a positive integer")
     entries = []
@@ -164,14 +176,15 @@ def _oracle_check(f, cap):
 
 def _cmd_radical(args):
     inst = _load_instance(args)
-    s = _param(args, inst, "s", "s", 0)
-    cap = int(_param(args, inst, "oracle_degree_cap", "oracle_degree_cap", 8))
+    s = _int_param(args, inst, "s", "s", 0)
+    cap = _int_param(args, inst, "oracle_degree_cap", "oracle_degree_cap", 8)
     entries = []
     for f in inst.polys:
-        entry = {"poly": str(f), "radical": str(radical(f))}
+        r = radical(f)
+        entry = {"poly": str(f), "radical": str(r)}
         if s:
-            entry[f"higher_radical_level_{s}"] = str(higher_radical(f, int(s)))
-        chk = _oracle_check(radical(f), cap)
+            entry[f"higher_radical_level_{s}"] = str(higher_radical(f, s))
+        chk = _oracle_check(r, cap)
         if chk is not None:
             entry["oracle_squarefree"] = chk
         entries.append(entry)
@@ -180,17 +193,18 @@ def _cmd_radical(args):
 
 def _cmd_sqfree(args):
     inst = _load_instance(args)
-    cap = int(_param(args, inst, "oracle_degree_cap", "oracle_degree_cap", 8))
+    cap = _int_param(args, inst, "oracle_degree_cap", "oracle_degree_cap", 8)
     entries = []
     for f in inst.polys:
         chain = radical_chain(f)
+        sqfree = chain.entries[-1][1]
         entry = {
             "poly": str(f),
-            "square_free_part": str(square_free_part(f)),
+            "square_free_part": str(sqfree),
             "chain": [[s, str(r)] for s, r in chain.entries],
             "terminal_level": chain.terminal_s,
         }
-        chk = _oracle_check(square_free_part(f), cap)
+        chk = _oracle_check(sqfree, cap)
         if chk is not None:
             entry["oracle_squarefree"] = chk
         entries.append(entry)
@@ -202,7 +216,10 @@ def _cmd_hasse(args):
     gamma = inst.params.get("gamma")
     if gamma is None:
         raise CasError("VALIDATION_ERROR", "hasse needs params.gamma in the instance")
-    gamma = tuple(int(g) for g in gamma)
+    if not (isinstance(gamma, list) and all(_as_int(g, "gamma entry") >= 0 for g in gamma)):
+        raise CasError("VALIDATION_ERROR",
+                       f"gamma = {gamma!r} must be a list of non-negative integers")
+    gamma = tuple(gamma)
     entries = [{"poly": str(f), "derivative": str(hasse_derivative(f, gamma))}
                for f in inst.polys]
     return {"id": inst.instance_id, "command": "hasse",
@@ -211,16 +228,16 @@ def _cmd_hasse(args):
 
 def _cmd_wronskian(args):
     inst = _load_instance(args)
-    step = _param(args, inst, "s", "step_c")
+    step = _int_param(args, inst, "s", "step_c")
     if step is None:
         if inst.spec.characteristic == 0:
             step = 1
         else:
             s = collection_independence_index(inst.polys)
             step = inst.spec.p ** (s - 1)
-    doc = {"id": inst.instance_id, "command": "wronskian", "step": int(step)}
+    doc = {"id": inst.instance_id, "command": "wronskian", "step": step}
     try:
-        cert = find_certificate(inst.polys, int(step))
+        cert = find_certificate(inst.polys, step)
         doc["certificate"] = {"gammas": [list(g) for g in cert.gammas],
                               "determinant": str(cert.determinant)}
         doc["outcome"] = "found"
@@ -259,8 +276,8 @@ def _cmd_verify_abc1(args):
 
 def _cmd_verify_abc2(args):
     inst = _load_instance(args)
-    k = _param(args, inst, "k", "k")
-    rep = verify_abc_second(inst.polys, k=int(k) if k is not None else None,
+    k = _int_param(args, inst, "k", "k")
+    rep = verify_abc_second(inst.polys, k=k,
                             rhos=_rhos_for(args, inst), instance_id=inst.instance_id)
     return rep.as_dict(), rep.exit_code
 

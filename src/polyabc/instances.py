@@ -98,7 +98,9 @@ def instance_from_dict(doc: dict) -> Instance:
     if fdoc["kind"] not in FIELD_KINDS:
         raise CasError("VALIDATION_ERROR", f"unknown field kind {fdoc['kind']!r}")
     spec = FieldSpec(fdoc["kind"], int(fdoc["p"]))
-    var_names = [str(v) for v in doc["vars"]]
+    if not isinstance(doc["vars"], list) or not all(isinstance(v, str) for v in doc["vars"]):
+        raise CasError("VALIDATION_ERROR", "vars must be a list of variable names")
+    var_names = list(doc["vars"])
     m = len(var_names)
     if not isinstance(doc["polys"], list) or not all(isinstance(pd, list) for pd in doc["polys"]):
         raise CasError("VALIDATION_ERROR", "polys must be a list of polynomials")

@@ -8,6 +8,13 @@ construction with the order-p^s Hasse derivatives, peel the lower-level
 residue, take a p^s-th root, and join by lcm.  On polynomials the chain
 stabilizes as soon as p^(s+1) exceeds the total degree, which gives the
 square-free part without any limit construction.
+
+One pass up the chain builds each level once, from the level below it, so
+the chain up to level s costs s steps; ``higher_radical``,
+``square_free_part`` and ``radical_chain`` all read their levels off that
+pass.  Callers that need several levels of one polynomial take them from
+one pass, or pass an already computed radical to ``trunc_gcd`` and
+``sigma_radical_gcd``.
 """
 
 from __future__ import annotations
@@ -32,20 +39,9 @@ def radical(f: MvPoly) -> MvPoly:
     return out.normalized()
 
 
-def higher_radical(f: MvPoly, s: int) -> MvPoly:
-    """The level-s radical; contains exactly the irreducible factors whose
-    multiplicity in f is not divisible by p^(s+1)."""
-    if f.is_zero():
-        raise CasError("ZERO_POLY", "radical of the zero polynomial")
-    if s < 0:
-        raise CasError("VALIDATION_ERROR", "radical level must be non-negative")
-    if s == 0:
-        return radical(f)
-    if f.spec.characteristic == 0:
-        raise CasError("WRONG_CHARACTERISTIC", "higher radicals need characteristic p")
-    p = f.spec.p
-    q = p ** s
-    r_prev = higher_radical(f, s - 1)
+def _next_level(f: MvPoly, s: int, r_prev: MvPoly) -> MvPoly:
+    """R_{p^s}(f) from r_prev = R_{p^(s-1)}(f)."""
+    q = f.spec.p ** s
     bar = exact_div(f, gcd_with_power(f, r_prev, q))
     if bar.is_constant():
         return r_prev
@@ -64,14 +60,31 @@ def higher_radical(f: MvPoly, s: int) -> MvPoly:
     return poly_lcm(r_prev, root)
 
 
+def _levels(f: MvPoly, top: int) -> list:
+    """[R_{p^0}(f), ..., R_{p^top}(f)], each level built once from the one below."""
+    levels = [radical(f)]
+    for s in range(1, top + 1):
+        levels.append(_next_level(f, s, levels[-1]))
+    return levels
+
+
+def higher_radical(f: MvPoly, s: int) -> MvPoly:
+    """The level-s radical; contains exactly the irreducible factors whose
+    multiplicity in f is not divisible by p^(s+1)."""
+    if f.is_zero():
+        raise CasError("ZERO_POLY", "radical of the zero polynomial")
+    if s < 0:
+        raise CasError("VALIDATION_ERROR", "radical level must be non-negative")
+    if s > 0 and f.spec.characteristic == 0:
+        raise CasError("WRONG_CHARACTERISTIC", "higher radicals need characteristic p")
+    return _levels(f, s)[-1]
+
+
 def square_free_part(f: MvPoly) -> MvPoly:
     """Squarefree polynomial with exactly the irreducible factors of f."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "square-free part of the zero polynomial")
-    if f.spec.characteristic == 0:
-        return radical(f)
-    s = stable_radical_level(f)
-    return higher_radical(f, s)
+    return _levels(f, stable_radical_level(f))[-1]
 
 
 def stable_radical_level(f: MvPoly) -> int:
@@ -86,24 +99,31 @@ def stable_radical_level(f: MvPoly) -> int:
     return s
 
 
-def trunc_gcd(f: MvPoly, ell: int) -> MvPoly:
-    """gcd(f, S(f)^ell): every irreducible P at multiplicity min(ell, mult)."""
+def trunc_gcd(f: MvPoly, ell: int, sqfree: MvPoly | None = None) -> MvPoly:
+    """gcd(f, S(f)^ell): every irreducible P at multiplicity min(ell, mult).
+
+    ``sqfree`` is S(f) when the caller has already computed it."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "truncation of the zero polynomial")
     if ell < 1:
         raise CasError("VALIDATION_ERROR", "truncation level must be positive")
-    return gcd_with_power(f, square_free_part(f), ell)
+    return gcd_with_power(f, square_free_part(f) if sqfree is None else sqfree, ell)
 
 
-def sigma_radical_gcd(f: MvPoly, a: int, sigma: int) -> MvPoly:
-    """gcd(f, R_{p^sigma}(f)^a), the characteristic-p counting object."""
+def sigma_radical_gcd(f: MvPoly, a: int, sigma: int,
+                      r_sigma: MvPoly | None = None) -> MvPoly:
+    """gcd(f, R_{p^sigma}(f)^a), the characteristic-p counting object.
+
+    ``r_sigma`` is R_{p^sigma}(f) when the caller has already computed it."""
     if f.spec.characteristic == 0:
         raise CasError("WRONG_CHARACTERISTIC", "sigma-radical needs characteristic p")
     if f.is_zero():
         raise CasError("ZERO_POLY", "truncation of the zero polynomial")
     if a < 1 or sigma < 0:
         raise CasError("VALIDATION_ERROR", "bad truncation parameters")
-    return gcd_with_power(f, higher_radical(f, sigma), a)
+    if r_sigma is None:
+        r_sigma = higher_radical(f, sigma)
+    return gcd_with_power(f, r_sigma, a)
 
 
 @dataclass
@@ -119,5 +139,4 @@ def radical_chain(f: MvPoly) -> RadicalChain:
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical chain of the zero polynomial")
     top = stable_radical_level(f)
-    entries = [(s, higher_radical(f, s)) for s in range(top + 1)]
-    return RadicalChain(f=f, entries=entries, terminal_s=top)
+    return RadicalChain(f=f, entries=list(enumerate(_levels(f, top))), terminal_s=top)

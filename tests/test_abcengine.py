@@ -10,7 +10,7 @@ from polyabc.errors import CasError
 from polyabc.mvpoly import MvPoly
 from polyabc.nevanlinna import truncated_counting
 
-from conftest import F3, F5, Q2, Q3, random_poly
+from conftest import F2, F3, F5, Q2, Q3, random_poly
 
 
 def _z(spec, m=1, i=0):
@@ -368,3 +368,25 @@ def test_truncated_counting_additivity_pairwise():
             cur = truncated_counting(f, ell).integrated
             rhs = cur if rhs is None else rhs + cur
         assert lhs == rhs
+
+
+def test_second_computes_square_free_part_once(monkeypatch):
+    import polyabc.abcengine
+    import polyabc.radicals
+
+    z, one = _z(F2), _one(F2)
+    fs = [z * z * (z + one), one, z ** 3 + z * z + one]
+    F = fs[0] * fs[1] * fs[2]
+    calls = []
+    square_free_part = polyabc.radicals.square_free_part
+
+    def counted(g):
+        calls.append(g == F)
+        return square_free_part(g)
+
+    for mod in (polyabc.radicals, polyabc.abcengine):
+        monkeypatch.setattr(mod, "square_free_part", counted)
+    rep = verify_abc_second(fs)
+    assert rep.verdict == "HOLDS"
+    assert "squarefree_corollary" in rep.degree_checks
+    assert calls.count(True) == 1

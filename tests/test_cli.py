@@ -4,6 +4,9 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import pytest
+
+from polyabc import cli
 from polyabc.cli import main
 
 
@@ -162,3 +165,63 @@ def test_corpus_run_rejects_bad_count_and_m():
         assert code == 1
         assert json.loads(out)["error"] == "VALIDATION_ERROR"
 
+
+
+def _write_instance(tmp_path, inst):
+    from polyabc.instances import serialize_instance
+
+    path = tmp_path / f"{inst.instance_id}.json"
+    path.write_text(serialize_instance(inst))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, params", [
+    ("hasse", {"gamma": ["a"]}),
+    ("hasse", {"gamma": 3}),
+    ("hasse", {"gamma": [-1]}),
+    ("verify-abc2", {"k": "x"}),
+    ("radical", {"s": "x"}),
+    ("radical", {"oracle_degree_cap": [8]}),
+    ("sqfree", {"oracle_degree_cap": "x"}),
+    ("wronskian", {"step_c": 1.5}),
+    ("counting", {"ell": True}),
+])
+def test_non_integer_params_are_validation_errors(tmp_path, command, params):
+    from polyabc.instances import Instance
+    from polyabc.mvpoly import MvPoly
+    from conftest import F3
+
+    z, one = MvPoly.variable(F3, 1, 0), MvPoly.one(F3, 1)
+    inst = Instance("bad-params", F3, ["z1"], [z, one, -(z + one)], params)
+    code, out = _run([command, "--instance", _write_instance(tmp_path, inst),
+                      "--format", "machine"])
+    assert code == 1
+    assert json.loads(out)["error"] == "VALIDATION_ERROR"
+
+
+def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
+    import polyabc.abcengine
+    import polyabc.radicals
+    from polyabc.instances import Instance
+    from polyabc.mvpoly import MvPoly
+    from conftest import F3
+
+    z, one = MvPoly.variable(F3, 1, 0), MvPoly.one(F3, 1)
+    f = z ** 9 * (z + one) ** 3 * (z * z + one)
+    calls = []
+    radical = polyabc.radicals.radical
+
+    def counted(g):
+        calls.append(g == f)
+        return radical(g)
+
+    for mod in (polyabc.radicals, polyabc.abcengine, cli):
+        monkeypatch.setattr(mod, "radical", counted)
+    inst = Instance("planted-f3", F3, ["z1"], [f], {})
+    code, out = _run(["sqfree", "--instance", _write_instance(tmp_path, inst),
+                      "--format", "machine"])
+    assert code == 0
+    entry = json.loads(out)["entries"][0]
+    assert entry["terminal_level"] == 2
+    assert entry["square_free_part"] == str(z * (z + one) * (z * z + one))
+    assert calls.count(True) == 1

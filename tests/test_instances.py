@@ -128,3 +128,13 @@ def test_corpus_rejects_negative_count_and_no_variables():
         with pytest.raises(CasError) as exc:
             generate_corpus(cs)
         assert exc.value.code == "VALIDATION_ERROR"
+
+
+def test_vars_must_be_a_list_of_variable_names():
+    for vars_ in ('"zz"', "5", '["z1", 2]', '{"z1": 1}'):
+        text = ('{"id": "bad", "field": {"kind": "prime_field", "p": 3}, '
+                f'"vars": {vars_}, "polys": [[[[1], "1"]]]}}')
+        with pytest.raises(CasError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "VALIDATION_ERROR"
+        assert "vars must be a list of variable names" in str(exc.value)

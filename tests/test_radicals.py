@@ -92,22 +92,32 @@ def _product(spec, m, primes):
 
 
 def test_oracle_characterizations_charp():
-    # factor set of the level-s radical: multiplicity not divisible by p^(s+1)
+    # factor set of the level-s radical: multiplicity not divisible by p^(s+1);
+    # the chain, higher_radical and square_free_part agree level by level, and
+    # the levels past the terminal one repeat it
     for spec in (F2, F3):
         p = spec.p
-        z, one = _z(spec), MvPoly.one(spec, 1)
-        primes = [z, z + one]
         rng = random.Random(f"chars-{p}")
-        for _ in range(30):
-            exps = [rng.randint(1, p * p) for _ in primes]
-            f = _planted(spec, primes, exps)
-            if f.total_degree() > 8:
-                continue
-            for s in range(stable_radical_level(f) + 1):
-                expected = [P for P, e in zip(primes, exps) if e % (p ** (s + 1)) != 0]
-                got = higher_radical(f, s)
-                assert got == _product(spec, 1, expected) if expected else got.is_constant()
-            assert square_free_part(f) == _product(spec, 1, primes)
+        for m in (1, 2):
+            x, one = _z(spec, m), MvPoly.one(spec, m)
+            primes = [x, x + one] if m == 1 else [x, x + _z(spec, 2, 1) + one]
+            for _ in range(30):
+                exps = [rng.randint(1, p * p) for _ in primes]
+                f = _planted(spec, primes, exps)
+                if f.total_degree() > 9:
+                    continue
+                chain = radical_chain(f)
+                top = chain.terminal_s
+                assert top == stable_radical_level(f)
+                assert [s for s, _ in chain.entries] == list(range(top + 1))
+                for s, got in chain.entries:
+                    expected = [P for P, e in zip(primes, exps) if e % (p ** (s + 1)) != 0]
+                    assert got == _product(spec, m, expected) if expected else got.is_constant()
+                    assert got == higher_radical(f, s)
+                S = chain.entries[-1][1]
+                assert S == square_free_part(f) == _product(spec, m, primes)
+                assert higher_radical(f, top + 1) == S
+                assert higher_radical(f, top + 2) == S
 
 
 def test_trunc_matches_min():
