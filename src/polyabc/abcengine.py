@@ -38,21 +38,7 @@ DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
 
 
 # ---------------------------------------------------------------------------
-# subset utilities (all deterministic: by size, then lexicographic)
-
-def _subsets(indices, min_size=1, max_size=None):
-    indices = sorted(indices)
-    max_size = len(indices) if max_size is None else max_size
-    for size in range(min_size, max_size + 1):
-        yield from combinations(indices, size)
-
-
-def _sum_of(fs, idxs) -> MvPoly:
-    acc = MvPoly.zero(fs[0].spec, fs[0].m)
-    for i in idxs:
-        acc = acc + fs[i]
-    return acc
-
+# subset structure: vanishing subsums, circuits, and the partition of a sum
 
 def _gcd_of(fs, idxs) -> MvPoly:
     acc = None
@@ -63,26 +49,42 @@ def _gcd_of(fs, idxs) -> MvPoly:
     return acc.normalized()
 
 
-# ---------------------------------------------------------------------------
-# linear structure: circuits and the partition of a vanishing sum
+def _vanishing(fs):
+    """Every index set whose subsum vanishes, in (size, lex) order.
 
-def _rank_of_subset(rows, idxs) -> int:
-    return field_rank([rows[i] for i in idxs])
+    A depth-first walk over the coefficient rows: each subset's sum is its
+    parent's sum plus one row, so every subsum is formed once.
+    """
+    guard_poly_count(len(fs))
+    _, rows = coeff_vector_basis(fs)
+    out = []
+
+    def walk(start, sub, acc):
+        for i in range(start, len(rows)):
+            total = [a + b for a, b in zip(acc, rows[i])] if sub else rows[i]
+            if all(x.is_zero() for x in total):
+                out.append(sub + (i,))
+            walk(i + 1, sub + (i,), total)
+
+    walk(0, (), None)
+    out.sort(key=lambda sub: (len(sub), sub))
+    return out
 
 
 def _circuits(fs):
-    """Minimal linearly dependent index sets, in (size, lex) order."""
+    """Minimal linearly dependent index sets, in (size, lex) order.
+
+    Subsets come by size, so a dependent set that contains no circuit found
+    before it has only independent proper subsets: it is itself a circuit.
+    """
     _, rows = coeff_vector_basis(fs)
-    n = len(fs)
     out = []
-    for sub in _subsets(range(n), min_size=1):
-        r = _rank_of_subset(rows, sub)
-        if r == len(sub):
-            continue
-        if r == len(sub) - 1 and all(
-                _rank_of_subset(rows, sub[:i] + sub[i + 1:]) == len(sub) - 1
-                for i in range(len(sub))):
-            out.append(tuple(sub))
+    for size in range(1, len(fs) + 1):
+        for sub in combinations(range(len(fs)), size):
+            members = set(sub)
+            if (not any(members.issuperset(c) for c in out)
+                    and field_rank([rows[i] for i in sub]) < size):
+                out.append(sub)
     return out
 
 
@@ -104,14 +106,13 @@ def bm_partition(fs) -> BmPartition:
     no-vanishing-subsum hypothesis guarantees such a crossing circuit exists
     at every stage.
     """
-    guard_poly_count(len(fs))
+    vanishing = _vanishing(fs)
     n = len(fs)
-    if not _sum_of(fs, range(n)).is_zero():
+    if not vanishing or len(vanishing[-1]) < n:
         raise CasError("NOT_SUM_ZERO", "the functions do not sum to zero")
-    for sub in _subsets(range(n), min_size=1, max_size=n - 1):
-        if _sum_of(fs, sub).is_zero():
-            raise CasError("VANISHING_SUBSUM",
-                           f"proper subsum over {list(sub)} vanishes; split first")
+    if len(vanishing) > 1:
+        raise CasError("VANISHING_SUBSUM",
+                       f"proper subsum over {list(vanishing[0])} vanishes; split first")
     circuits = _circuits(fs)
     if not circuits:
         raise CasError("NOT_SUM_ZERO", "no dependent subset in a vanishing sum")
@@ -134,24 +135,19 @@ def bm_partition(fs) -> BmPartition:
     return BmPartition(I_sets=I_sets, J_sets=J_sets, u=len(I_sets))
 
 
-def split_vanishing_subsums(fs):
-    """Partition of the index set into minimal vanishing subsums."""
-    guard_poly_count(len(fs))
-    n = len(fs)
-    if not _sum_of(fs, range(n)).is_zero():
+def split_vanishing_subsums(fs, vanishing=None):
+    """Partition of the index set into minimal vanishing subsums: each set of
+    ``vanishing`` (default ``_vanishing(fs)``) disjoint from those taken."""
+    if vanishing is None:
+        vanishing = _vanishing(fs)
+    if not vanishing or len(vanishing[-1]) < len(fs):
         raise CasError("NOT_SUM_ZERO", "the functions do not sum to zero")
-    remaining = list(range(n))
+    taken = set()
     blocks = []
-    while remaining:
-        found = None
-        for sub in _subsets(remaining, min_size=1):
-            if _sum_of(fs, sub).is_zero():
-                found = list(sub)
-                break
-        if found is None:
-            raise CasError("NOT_SUM_ZERO", "remainder does not sum to zero")
-        blocks.append(found)
-        remaining = [i for i in remaining if i not in set(found)]
+    for sub in vanishing:
+        if taken.isdisjoint(sub):
+            blocks.append(list(sub))
+            taken.update(sub)
     return blocks
 
 
@@ -399,7 +395,7 @@ def _common_gates(rep: AbcReport, fs) -> bool:
     guard_poly_count(len(fs))
     rep.add_hypothesis("size", len(fs) >= 3,
                        witness=f"{len(fs)} functions")
-    rep.add_hypothesis("sum_zero", _sum_of(fs, range(len(fs))).is_zero())
+    rep.add_hypothesis("sum_zero", sum(fs[1:], fs[0]).is_zero())
     rep.add_hypothesis("none_zero", not any(f.is_zero() for f in fs))
     if rep.verdict != "HOLDS":
         return False
@@ -407,10 +403,10 @@ def _common_gates(rep: AbcReport, fs) -> bool:
     return rep.verdict == "HOLDS"
 
 
-def _subsum_gcd_condition(fs):
+def _subsum_gcd_condition(fs, vanishing):
     """The weak coprimality condition: every vanishing subsum has gcd 1."""
-    for sub in _subsets(range(len(fs)), min_size=2):
-        if _sum_of(fs, sub).is_zero():
+    for sub in vanishing:
+        if len(sub) >= 2:
             g = _gcd_of(fs, sub)
             if not g.is_constant():
                 return False, f"subsum {list(sub)} vanishes with gcd {g}"
@@ -475,18 +471,16 @@ def verify_abc_first(fs, rhos=None, instance_id="") -> AbcReport:
     fs = list(fs)
     if not _common_gates(rep, fs):
         return rep
-    ok, witness = _subsum_gcd_condition(fs)
+    vanishing = _vanishing(fs)
+    ok, witness = _subsum_gcd_condition(fs, vanishing)
     if not rep.add_hypothesis("vanishing_subsum_gcd", ok, witness=witness):
         return rep
-    blocks = split_vanishing_subsums(fs)
+    blocks = split_vanishing_subsums(fs, vanishing)
     analyses, live = _analyze_blocks(rep, fs, blocks)
     spec = fs[0].spec
     charp = spec.characteristic > 0
 
-    block_of = {}
-    for ana in live:
-        for i in ana.indices:
-            block_of[i] = ana
+    block_of = {i: ana for ana in live for i in ana.indices}
 
     g_charp = {}
     g_trunc = {}
@@ -563,12 +557,16 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             return rep
     d = f_rank(fs)
     k_bar = min(k, d)
-    blocks = split_vanishing_subsums(fs)
+    vanishing = _vanishing(fs)
+    blocks = split_vanishing_subsums(fs, vanishing)
     multi = len(blocks) > 1
+    # read by the squarefree section (several blocks) and the triple bound
+    gcd_cond = (_subsum_gcd_condition(fs, vanishing)
+                if multi or (spec.characteristic == 0 and k == 3) else None)
     if k_bar > 2:
         if not rep.add_hypothesis("no_vanishing_subsum", not multi,
                                   witness=f"blocks {blocks}" if multi else ""):
-            _abcsf_section(rep, fs, None, d, k_bar, rhos, blocks)
+            _abcsf_section(rep, fs, None, d, k_bar, rhos, blocks, gcd_cond)
             return rep
 
     if spec.characteristic == 0:
@@ -597,7 +595,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
                 rep.add_hypothesis(
                     "block_coprimality", False,
                     witness=f"block {block} admits no internal coprimality level")
-                _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks)
+                _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, gcd_cond)
                 return rep
         analyses, live = _analyze_blocks(rep, fs, blocks)
         a_bar = max(a.constants.a_bar for a in live)
@@ -618,9 +616,9 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
     margin = (counting(G).integrated + PiecewiseLinear.line(-b_star, 0)
               - _max_log_profile(fs))
     rep.add_margin("product_margin", margin, rhos, primary=True)
-    _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, S=S)
+    _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, gcd_cond, S=S)
     if spec.characteristic == 0 and k == 3:
-        _bb_section(rep, fs, R=S)  # in characteristic 0, R(F) is S(F)
+        _bb_section(rep, fs, S, gcd_cond)  # in characteristic 0, R(F) is S(F)
     return rep
 
 
@@ -631,15 +629,16 @@ def _product(fs) -> MvPoly:
     return F
 
 
-def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, S=None):
+def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, gcd_cond, S=None):
     """Squarefree-part corollary: max log|f_j| <= A (N^(1)_F - log r) + O(1),
-    with S the square-free part of F = prod f_j, computed here if not given."""
+    with S the square-free part of F = prod f_j, computed here if not given,
+    and gcd_cond the subsum gcd condition, read when there are several blocks."""
     spec = fs[0].spec
     if c_global is None:
         c_global = 1 if spec.characteristic == 0 else spec.p ** (
             collection_independence_index(fs) - 1)
     if len(blocks) > 1:
-        ok, witness = _subsum_gcd_condition(fs)
+        ok, witness = gcd_cond
         if not ok:
             rep.notes.append(f"squarefree_corollary_skipped: {witness}")
             return
@@ -658,10 +657,10 @@ def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, S=None)
     rep.notes.append(f"squarefree_corollary_bound={big_a}")
 
 
-def _bb_section(rep: AbcReport, fs, R):
+def _bb_section(rep: AbcReport, fs, R, gcd_cond):
     """Characteristic-0 triple-gcd bound: max deg <= (2n-3)(deg R(F) - 1),
-    with R the radical of F = prod f_j."""
-    ok, witness = _subsum_gcd_condition(fs)
+    with R the radical of F = prod f_j and gcd_cond the subsum gcd condition."""
+    ok, witness = gcd_cond
     if not ok:
         rep.notes.append(f"triple_bound_skipped: {witness}")
         return
@@ -680,16 +679,14 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
         raise CasError("WRONG_CHARACTERISTIC", "these corollaries are characteristic-0 statements")
     if not _common_gates(rep, fs):
         return rep
-    ok, witness = _subsum_gcd_condition(fs)
+    vanishing = _vanishing(fs)
+    ok, witness = _subsum_gcd_condition(fs, vanishing)
     if not rep.add_hypothesis("vanishing_subsum_gcd", ok, witness=witness):
         return rep
-    blocks = split_vanishing_subsums(fs)
+    blocks = split_vanishing_subsums(fs, vanishing)
     analyses, live = _analyze_blocks(rep, fs, blocks)
     spec = fs[0].spec
-    block_of = {}
-    for ana in live:
-        for i in ana.indices:
-            block_of[i] = ana
+    block_of = {i: ana for ana in live for i in ana.indices}
 
     # exact bound via gcd(f_j, R(f_j)^a), with a taken from the block that
     # realizes the maximal degree; in characteristic 0, R(f_j) is the

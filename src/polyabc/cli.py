@@ -18,7 +18,7 @@ from .abcengine import (DEFAULT_RHOS, _frac_str, verify_abc_first,
 from .errors import CasError, SearchExhausted
 from .fields import NEG_INFINITY
 from .hasse import hasse_derivative
-from .instances import (CorpusSpec, Instance, field_spec_from_code, generate_corpus,
+from .instances import (CorpusSpec, Instance, as_int, field_spec_from_code, generate_corpus,
                         instance_to_dict, parse_instance)
 from .nevanlinna import counting, log_gauss_norm, norm_profile, poisson_constant, truncated_counting
 from .radicals import higher_radical, radical, radical_chain
@@ -108,16 +108,9 @@ def _param(args, inst, flag, key, default=None):
     return default
 
 
-def _as_int(value, key):
-    """An integer flag or params value; anything else is a VALIDATION_ERROR."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise CasError("VALIDATION_ERROR", f"{key} = {value!r} must be an integer")
-
-
 def _int_param(args, inst, flag, key, default=None):
     v = _param(args, inst, flag, key, default)
-    return None if v is None else _as_int(v, key)
+    return None if v is None else as_int(v, key)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +209,7 @@ def _cmd_hasse(args):
     gamma = inst.params.get("gamma")
     if gamma is None:
         raise CasError("VALIDATION_ERROR", "hasse needs params.gamma in the instance")
-    if not (isinstance(gamma, list) and all(_as_int(g, "gamma entry") >= 0 for g in gamma)):
+    if not (isinstance(gamma, list) and all(as_int(g, "gamma entry") >= 0 for g in gamma)):
         raise CasError("VALIDATION_ERROR",
                        f"gamma = {gamma!r} must be a list of non-negative integers")
     gamma = tuple(gamma)

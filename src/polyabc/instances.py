@@ -31,6 +31,13 @@ MAX_POLYS = 13     # functions per tuple: the engine's subset searches are exhau
 MAX_DEGREE = 10    # degree bound of generated corpora
 
 
+def as_int(value, key):
+    """An integer from an instance or a flag; anything else is a VALIDATION_ERROR."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CasError("VALIDATION_ERROR", f"{key} = {value!r} must be an integer")
+
+
 def guard_poly_count(count: int):
     """The one bound on the number of functions a tuple may hold."""
     if count > MAX_POLYS:
@@ -70,7 +77,7 @@ def structured_to_poly(spec: FieldSpec, m: int, data) -> MvPoly:
         exps, coeff_s = item
         if not isinstance(exps, (list, tuple)):
             raise CasError("VALIDATION_ERROR", f"bad exponent vector {exps!r}")
-        pairs.append((tuple(int(e) for e in exps), parse_coeff(spec, str(coeff_s))))
+        pairs.append((tuple(as_int(e, "exponent") for e in exps), parse_coeff(spec, str(coeff_s))))
     return MvPoly.from_terms(spec, m, pairs)
 
 
@@ -97,7 +104,7 @@ def instance_from_dict(doc: dict) -> Instance:
         raise CasError("VALIDATION_ERROR", "field must carry 'kind' and 'p'")
     if fdoc["kind"] not in FIELD_KINDS:
         raise CasError("VALIDATION_ERROR", f"unknown field kind {fdoc['kind']!r}")
-    spec = FieldSpec(fdoc["kind"], int(fdoc["p"]))
+    spec = FieldSpec(fdoc["kind"], as_int(fdoc["p"], "field p"))
     if not isinstance(doc["vars"], list) or not all(isinstance(v, str) for v in doc["vars"]):
         raise CasError("VALIDATION_ERROR", "vars must be a list of variable names")
     var_names = list(doc["vars"])

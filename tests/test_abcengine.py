@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from polyabc.abcengine import (analyze_block, bm_partition, detect_k,
-                               split_vanishing_subsums, verify_abc_first,
-                               verify_abc_second, verify_basic_abc, verify_corollaries)
+from polyabc.abcengine import (_circuits, _subsum_gcd_condition, _vanishing, analyze_block,
+                               bm_partition, detect_k, split_vanishing_subsums,
+                               verify_abc_first, verify_abc_second, verify_basic_abc,
+                               verify_corollaries)
 from polyabc.errors import CasError
-from polyabc.mvpoly import MvPoly
+from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.nevanlinna import truncated_counting
+from polyabc.wronskian import f_rank
 
-from conftest import F2, F3, F5, Q2, Q3, random_poly
+from conftest import F2, F3, F3T, F5, Q2, Q3, random_poly
 
 
 def _z(spec, m=1, i=0):
@@ -62,37 +65,103 @@ def test_split_examples():
     assert split_vanishing_subsums([one, z, -(one + z)]) == [[0, 1, 2]]
     fs = [z, one, -(z + one), _c(Q2, 5), _c(Q2, -5)]
     assert split_vanishing_subsums(fs) == [[3, 4], [0, 1, 2]]  # smallest first
+    # {0, 3} and {1, 2} also vanish but are not unions of the blocks
+    assert split_vanishing_subsums([z, -z, z, -z]) == [[0, 1], [2, 3]]
+
+
+def _rank(fs):
+    return f_rank(fs) if fs else 0
+
+
+def _brute_vanishing(fs):
+    """Every vanishing index set, summed as polynomials, in (size, lex) order."""
+    zero = MvPoly.zero(fs[0].spec, fs[0].m)
+    return [sub for size in range(1, len(fs) + 1)
+            for sub in combinations(range(len(fs)), size)
+            if sum((fs[i] for i in sub), zero).is_zero()]
+
+
+def _brute_split(fs):
+    """Greedy restart: the first vanishing subset of what is left, until nothing is."""
+    remaining, blocks = list(range(len(fs))), []
+    while remaining:
+        first = _brute_vanishing([fs[i] for i in remaining])[0]
+        blocks.append([remaining[i] for i in first])
+        remaining = [i for i in remaining if i not in blocks[-1]]
+    return blocks
+
+
+def _brute_circuits(fs):
+    """Dependent index sets whose every one-smaller subset is independent."""
+    out = []
+    for size in range(1, len(fs) + 1):
+        for sub in combinations(range(len(fs)), size):
+            sub_fs = [fs[i] for i in sub]
+            if _rank(sub_fs) == size - 1 and all(
+                    _rank(list(kept)) == size - 1 for kept in combinations(sub_fs, size - 1)):
+                out.append(sub)
+    return out
+
+
+def _brute_subsum_gcd_ok(fs):
+    for sub in _brute_vanishing(fs):
+        if len(sub) >= 2:
+            g = fs[sub[0]]
+            for i in sub[1:]:
+                g = poly_gcd(g, fs[i])
+            if not g.is_constant():
+                return False
+    return True
+
+
+def _random_sum_zero(rng, spec, n):
+    """n nonzero functions summing to zero, often from two closed groups, shuffled."""
+    first = n if rng.random() < 0.5 else rng.randint(2, n - 2)
+    fs = []
+    for size in ([first, n - first] if first < n else [n]):
+        # degree 2 over F_3 makes accidental vanishing subsums common
+        group = [random_poly(rng, spec, 1, 2 if spec == F3 else 3, nonzero=True)
+                 for _ in range(size - 1)]
+        closure = MvPoly.zero(spec, 1)
+        for f in group:
+            closure = closure - f
+        if closure.is_zero():
+            return None
+        fs += group + [closure]
+    rng.shuffle(fs)
+    return fs
 
 
 def test_bm_partition_minimality_random():
-    from polyabc.wronskian import f_rank
-
     rng = random.Random("bmrand")
-    for _ in range(20):
-        fs = [random_poly(rng, Q2, 1, 3, nonzero=True) for _ in range(4)]
-        closure = MvPoly.zero(Q2, 1)
-        for f in fs:
-            closure = closure - f
-        if closure.is_zero():
-            continue
-        fs.append(closure)
-        try:
-            part = bm_partition(fs)
-        except CasError as exc:
-            assert exc.value.code if False else exc.code == "VANISHING_SUBSUM"
-            continue
-        seen = sorted(i for I in part.I_sets for i in I)
-        assert seen == list(range(len(fs)))
-        # each I_j with its bridge is minimal dependent
-        for j, I in enumerate(part.I_sets):
-            group = I if j == 0 else I + part.J_sets[j - 1]
-            sub = [fs[i] for i in group]
-            assert f_rank(sub) == len(sub) - 1
-            for drop in range(len(group)):
-                kept = [fs[g] for gi, g in enumerate(group) if gi != drop]
-                assert f_rank(kept) == len(kept)
-        for J in part.J_sets:
-            assert J  # bridges are nonempty
+    for spec in (Q2, F3, F3T):
+        for _ in range(12):
+            fs = _random_sum_zero(rng, spec, rng.randint(4, 7))
+            if fs is None:
+                continue
+            vanishing = _vanishing(fs)
+            assert vanishing == _brute_vanishing(fs)
+            assert split_vanishing_subsums(fs) == _brute_split(fs)
+            assert _circuits(fs) == _brute_circuits(fs)
+            assert _subsum_gcd_condition(fs, vanishing)[0] == _brute_subsum_gcd_ok(fs)
+            try:
+                part = bm_partition(fs)
+            except CasError as exc:
+                assert exc.code == "VANISHING_SUBSUM"
+                assert len(vanishing) > 1
+                continue
+            seen = sorted(i for I in part.I_sets for i in I)
+            assert seen == list(range(len(fs)))
+            # each I_j with its bridge is minimal dependent
+            for j, I in enumerate(part.I_sets):
+                group = I if j == 0 else I + part.J_sets[j - 1]
+                sub = [fs[i] for i in group]
+                assert f_rank(sub) == len(sub) - 1
+                for drop in range(len(group)):
+                    kept = [fs[g] for gi, g in enumerate(group) if gi != drop]
+                    assert f_rank(kept) == len(kept)
+            for J in part.J_sets:
+                assert J  # bridges are nonempty
 
 
 # -- constants ----------------------------------------------------------------
@@ -390,3 +459,26 @@ def test_second_computes_square_free_part_once(monkeypatch):
     assert rep.verdict == "HOLDS"
     assert "squarefree_corollary" in rep.degree_checks
     assert calls.count(True) == 1
+
+
+def test_second_evaluates_subsum_gcd_condition_once(monkeypatch):
+    import polyabc.abcengine
+
+    # characteristic 0, k = 3, two blocks and d = 2: both the squarefree
+    # corollary and the triple-gcd bound read the condition
+    z, one = _z(Q3), _one(Q3)
+    fs = [z, one, -(z + one), z, one, -(z + one)]
+    calls = []
+    condition = polyabc.abcengine._subsum_gcd_condition
+
+    def counted(*args):
+        calls.append(args)
+        return condition(*args)
+
+    monkeypatch.setattr(polyabc.abcengine, "_subsum_gcd_condition", counted)
+    rep = verify_abc_second(fs)
+    assert rep.verdict == "HOLDS"
+    assert "k_autodetected=3" in rep.notes
+    assert rep.constants["d"] == 2 and len(rep.blocks) == 2
+    assert {"squarefree_corollary", "triple_gcd_bound"} <= set(rep.degree_checks)
+    assert len(calls) == 1

@@ -199,6 +199,17 @@ def test_non_integer_params_are_validation_errors(tmp_path, command, params):
     assert json.loads(out)["error"] == "VALIDATION_ERROR"
 
 
+@pytest.mark.parametrize("p, exponent", [("x", 1), (3, "a"), (3.5, 1), (3, 1.5)])
+def test_field_prime_and_exponents_must_be_integers(tmp_path, p, exponent):
+    doc = {"id": "bad-ints", "field": {"kind": "prime_field", "p": p}, "vars": ["z1"],
+           "polys": [[[[exponent], "1"], [[0], "1"]]], "params": {}}
+    path = tmp_path / "bad-ints.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["norm", "--instance", str(path), "--format", "machine"])
+    assert code == 1
+    assert json.loads(out)["error"] == "VALIDATION_ERROR"
+
+
 def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
     import polyabc.abcengine
     import polyabc.radicals
