@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from math import lcm
 
 from .errors import CasError
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, RATFUNC_T_ADIC, _fpt_divmod, _fpt_gcd, _fpt_mul
 from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
@@ -49,20 +52,78 @@ def _gcd_of(fs, idxs) -> MvPoly:
     return acc.normalized()
 
 
+def _scan_rows(fs):
+    """The coefficient rows as integer lists, and the prime p they are read
+    mod (None over Q): a subsum vanishes iff its integer row sum is zero
+    (mod p).
+
+    Over Q every row is scaled by the lcm of all denominators; over F_p the
+    rows are the residues.  Over F_p(t) every row is scaled by the lcm of all
+    denominators and each F_p[t] entry is flattened to its coefficients,
+    padded to one width; a 0/1 subsum acts F_p-linearly on them.
+    """
+    spec = fs[0].spec
+    vals = [[x.val for x in row] for row in coeff_vector_basis(fs)[1]]
+    if spec.kind == RATIONAL_P_ADIC:
+        den = lcm(*(q.denominator for row in vals for q in row))
+        return [[q.numerator * (den // q.denominator) for q in row] for row in vals], None
+    p = spec.p
+    if spec.kind == PRIME_FIELD:
+        return vals, p
+    den = (1,)
+    for row in vals:
+        for _, d in row:
+            den = _fpt_divmod(_fpt_mul(den, d, p), _fpt_gcd(den, d, p), p)[0]
+    polys = [[_fpt_mul(num, _fpt_divmod(den, d, p)[0], p) for num, d in row] for row in vals]
+    width = max((len(a) for row in polys for a in row), default=0)
+    return [[c for a in row for c in a + (0,) * (width - len(a))] for row in polys], p
+
+
+def _int_rank(rows, p=None):
+    """Rank of integer rows over Q (p None) or over F_p.
+
+    Fraction-free elimination: a step replaces each lower row by
+    pivot * row - head * pivot row, divided exactly by the previous pivot
+    over Z (Bareiss) and reduced mod p over F_p; neither changes the rank.
+    """
+    rows = [list(r) if p is None else [x % p for x in r] for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        pivot = prow[c]
+        for row in rows[rank + 1:]:
+            head = row[c]
+            for j in range(c + 1, len(prow)):
+                x = pivot * row[j] - head * prow[j]
+                row[j] = x // prev if p is None else x % p
+            row[c] = 0
+        prev = pivot
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def _vanishing(fs):
     """Every index set whose subsum vanishes, in (size, lex) order.
 
-    A depth-first walk over the coefficient rows: each subset's sum is its
-    parent's sum plus one row, so every subsum is formed once.
+    A depth-first walk over the integer rows of ``_scan_rows``: each subset's
+    sum is its parent's sum plus one row, so every subsum is formed once.
+    Sums of at most MAX_POLYS rows stay small, so they are reduced mod p
+    only in the test.
     """
     guard_poly_count(len(fs))
-    _, rows = coeff_vector_basis(fs)
+    rows, p = _scan_rows(fs)
     out = []
 
     def walk(start, sub, acc):
         for i in range(start, len(rows)):
             total = [a + b for a, b in zip(acc, rows[i])] if sub else rows[i]
-            if all(x.is_zero() for x in total):
+            if not any(total if p is None else (x % p for x in total)):
                 out.append(sub + (i,))
             walk(i + 1, sub + (i,), total)
 
@@ -76,14 +137,22 @@ def _circuits(fs):
 
     Subsets come by size, so a dependent set that contains no circuit found
     before it has only independent proper subsets: it is itself a circuit.
+    Any rank + 1 members are dependent, so no circuit is larger.  Over Q and
+    F_p subsets are ranked on the integer rows of ``_scan_rows`` (scaling
+    every row by one constant changes no rank); over F_p(t) the flattened
+    rows do not give the rank, so they are ranked over the field.
     """
-    _, rows = coeff_vector_basis(fs)
+    if fs[0].spec.kind == RATFUNC_T_ADIC:
+        rows, rank = coeff_vector_basis(fs)[1], field_rank
+    else:
+        rows, p = _scan_rows(fs)
+        rank = partial(_int_rank, p=p)
     out = []
-    for size in range(1, len(fs) + 1):
+    for size in range(1, rank(rows) + 2):
         for sub in combinations(range(len(fs)), size):
             members = set(sub)
             if (not any(members.issuperset(c) for c in out)
-                    and field_rank([rows[i] for i in sub]) < size):
+                    and rank([rows[i] for i in sub]) < size):
                 out.append(sub)
     return out
 
@@ -98,15 +167,17 @@ class BmPartition:
     u: int
 
 
-def bm_partition(fs) -> BmPartition:
+def bm_partition(fs, vanishing=None) -> BmPartition:
     """Greedy circuit cover of a vanishing sum with no vanishing subsum.
 
     Picks the (size, lex)-first circuit as I_0, then repeatedly the first
     circuit meeting both the processed and unprocessed index sets; the
     no-vanishing-subsum hypothesis guarantees such a crossing circuit exists
-    at every stage.
+    at every stage.  ``vanishing`` is ``_vanishing(fs)``, walked here if not
+    given.
     """
-    vanishing = _vanishing(fs)
+    if vanishing is None:
+        vanishing = _vanishing(fs)
     n = len(fs)
     if not vanishing or len(vanishing[-1]) < n:
         raise CasError("NOT_SUM_ZERO", "the functions do not sum to zero")
@@ -210,8 +281,12 @@ class BlockAnalysis:
     wronskian_product: MvPoly | None = None
 
 
-def analyze_block(fs, indices=None, k_override=None) -> BlockAnalysis:
-    """Partition + certificates + constants for one minimal vanishing sum."""
+def analyze_block(fs, indices=None, k_override=None, vanishing=None) -> BlockAnalysis:
+    """Partition + certificates + constants for one minimal vanishing sum.
+
+    ``vanishing``, the vanishing index sets of all of ``fs`` when given,
+    spares the partition a walk of its own over the block.
+    """
     idxs = sorted(indices if indices is not None else range(len(fs)))
     sub = [fs[i] for i in idxs]
     spec = sub[0].spec
@@ -223,7 +298,11 @@ def analyze_block(fs, indices=None, k_override=None) -> BlockAnalysis:
     else:
         s_index = collection_independence_index(sub)
         c = spec.p ** (s_index - 1)
-    part = bm_partition(sub)
+    if vanishing is not None:
+        # idxs is sorted, so relabelling keeps the (size, lex) order
+        pos = {i: j for j, i in enumerate(idxs)}
+        vanishing = [tuple(pos[i] for i in v) for v in vanishing if all(i in pos for i in v)]
+    part = bm_partition(sub, vanishing)
     certs = []
     pool = []
     for j, I in enumerate(part.I_sets):
@@ -413,10 +492,10 @@ def _subsum_gcd_condition(fs, vanishing):
     return True, ""
 
 
-def _analyze_blocks(rep: AbcReport, fs, blocks):
+def _analyze_blocks(rep: AbcReport, fs, blocks, vanishing):
     analyses = []
     for block in blocks:
-        ana = analyze_block(fs, block)
+        ana = analyze_block(fs, block, vanishing=vanishing)
         analyses.append(ana)
         if ana.all_constant:
             rep.blocks.append({"indices": ana.indices, "all_constant": True})
@@ -476,7 +555,7 @@ def verify_abc_first(fs, rhos=None, instance_id="") -> AbcReport:
     if not rep.add_hypothesis("vanishing_subsum_gcd", ok, witness=witness):
         return rep
     blocks = split_vanishing_subsums(fs, vanishing)
-    analyses, live = _analyze_blocks(rep, fs, blocks)
+    analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
     spec = fs[0].spec
     charp = spec.characteristic > 0
 
@@ -576,7 +655,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
         c_global = spec.p ** (s_index - 1)
 
     if not multi:
-        ana = analyze_block(fs, k_override=k)
+        ana = analyze_block(fs, k_override=k, vanishing=vanishing)
         rep.blocks.append({"indices": ana.indices, "all_constant": False,
                            "constants": ana.constants.as_dict()})
         for label, members, cert in ana.certificates:
@@ -597,7 +676,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
                     witness=f"block {block} admits no internal coprimality level")
                 _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, gcd_cond)
                 return rep
-        analyses, live = _analyze_blocks(rep, fs, blocks)
+        analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
         a_bar = max(a.constants.a_bar for a in live)
         b_star = min(a.constants.b for a in live)
         agg = _aggregate_constants(live)
@@ -684,7 +763,7 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
     if not rep.add_hypothesis("vanishing_subsum_gcd", ok, witness=witness):
         return rep
     blocks = split_vanishing_subsums(fs, vanishing)
-    analyses, live = _analyze_blocks(rep, fs, blocks)
+    analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
     spec = fs[0].spec
     block_of = {i: ana for ana in live for i in ana.indices}
 

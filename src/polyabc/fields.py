@@ -331,7 +331,8 @@ class Coeff:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Coeff"):
-        if self.spec != other.spec:
+        # one parsed instance shares one spec object; == only for distinct copies
+        if self.spec is not other.spec and self.spec != other.spec:
             raise CasError("SPEC_MISMATCH", "mixed coefficient fields")
 
     def __add__(self, other: "Coeff") -> "Coeff":

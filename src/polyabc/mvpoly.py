@@ -109,7 +109,7 @@ class MvPoly:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def _check(self, other: "MvPoly"):
-        if self.spec != other.spec or self.m != other.m:
+        if (self.spec is not other.spec and self.spec != other.spec) or self.m != other.m:
             raise CasError("SPEC_MISMATCH", "mixed polynomial rings")
 
     # -- ring operations ---------------------------------------------------------

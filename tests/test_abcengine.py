@@ -4,14 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from polyabc.abcengine import (_circuits, _subsum_gcd_condition, _vanishing, analyze_block,
-                               bm_partition, detect_k, split_vanishing_subsums,
+from polyabc.abcengine import (_circuits, _int_rank, _subsum_gcd_condition, _vanishing,
+                               analyze_block, bm_partition, detect_k, split_vanishing_subsums,
                                verify_abc_first, verify_abc_second, verify_basic_abc,
                                verify_corollaries)
 from polyabc.errors import CasError
 from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.nevanlinna import truncated_counting
-from polyabc.wronskian import f_rank
+from polyabc.wronskian import f_rank, field_rank
 
 from conftest import F2, F3, F3T, F5, Q2, Q3, random_poly
 
@@ -69,6 +69,29 @@ def test_split_examples():
     assert split_vanishing_subsums([z, -z, z, -z]) == [[0, 1], [2, 3]]
 
 
+def _times(spec, c, f):
+    return MvPoly.constant(spec, f.m, c) * f
+
+
+def test_split_integer_row_forms():
+    # Q: mixed denominators, read as integer rows over their lcm 12
+    z, one = _z(Q2), _one(Q2)
+    fs = [_times(Q2, Q2.from_fraction(Fraction(a, b)), f)
+          for a, b, f in ((1, 2, z), (1, 3, z), (1, 4, one), (-5, 6, z), (-1, 4, one))]
+    # F_5: residues 2 + 3 and 1 + 4 sum to exactly p, not to 0
+    z5, one5 = _z(F5), _one(F5)
+    gs = [_c(F5, 2) * z5, _c(F5, 3) * z5, one5, _c(F5, 4)]
+    # F_3(t): denominators 1 + t and t cancel only in the subsum {0, 1, 3}
+    zt, onet = _z(F3T), _one(F3T)
+    c1, c2 = F3T.one() / (F3T.one() + F3T.t()), F3T.one() / F3T.t()
+    hs = [_times(F3T, c1, zt), _times(F3T, c2, zt), onet, -_times(F3T, c1 + c2, zt), -onet]
+    for tup, blocks in ((fs, [[2, 4], [0, 1, 3]]), (gs, [[0, 1], [2, 3]]),
+                        (hs, [[2, 4], [0, 1, 3]])):
+        assert _vanishing(tup) == _brute_vanishing(tup)
+        assert split_vanishing_subsums(tup) == blocks
+        assert _circuits(tup) == _brute_circuits(tup)
+
+
 def _rank(fs):
     return f_rank(fs) if fs else 0
 
@@ -114,15 +137,15 @@ def _brute_subsum_gcd_ok(fs):
     return True
 
 
-def _random_sum_zero(rng, spec, n):
+def _random_sum_zero(rng, spec, n, m=1):
     """n nonzero functions summing to zero, often from two closed groups, shuffled."""
     first = n if rng.random() < 0.5 else rng.randint(2, n - 2)
     fs = []
     for size in ([first, n - first] if first < n else [n]):
         # degree 2 over F_3 makes accidental vanishing subsums common
-        group = [random_poly(rng, spec, 1, 2 if spec == F3 else 3, nonzero=True)
+        group = [random_poly(rng, spec, m, 2 if spec == F3 else 3, nonzero=True)
                  for _ in range(size - 1)]
-        closure = MvPoly.zero(spec, 1)
+        closure = MvPoly.zero(spec, m)
         for f in group:
             closure = closure - f
         if closure.is_zero():
@@ -134,9 +157,9 @@ def _random_sum_zero(rng, spec, n):
 
 def test_bm_partition_minimality_random():
     rng = random.Random("bmrand")
-    for spec in (Q2, F3, F3T):
+    for spec, m in [(spec, m) for spec in (Q2, F2, F3, F5, F3T) for m in (1, 2)]:
         for _ in range(12):
-            fs = _random_sum_zero(rng, spec, rng.randint(4, 7))
+            fs = _random_sum_zero(rng, spec, rng.randint(4, 7), m)
             if fs is None:
                 continue
             vanishing = _vanishing(fs)
@@ -162,6 +185,24 @@ def test_bm_partition_minimality_random():
                     assert f_rank(kept) == len(kept)
             for J in part.J_sets:
                 assert J  # bridges are nonempty
+
+
+def test_int_rank_matches_field_rank():
+    rng = random.Random("intrank")
+    # first pivots need a row swap; a zero column; a zero matrix; rank 1
+    fixed = [[[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 1], [1, 0, 0]], [[0, 2], [0, 1]],
+             [[0]], [[2, 4], [1, 2], [3, 6]]]
+    for spec in (Q2, F3):
+        p = spec.p if spec.characteristic else None
+        mats = list(fixed)
+        for _ in range(80):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            zero_col = rng.randrange(ncols) if rng.random() < 0.5 else None
+            mats.append([[0 if j == zero_col or rng.random() < 0.4 else rng.randint(-5, 5)
+                          for j in range(ncols)] for _ in range(nrows)])
+        for mat in mats:
+            coeffs = [[spec.from_int(x) for x in row] for row in mat]
+            assert _int_rank(mat, p) == field_rank(coeffs), (spec, mat)
 
 
 # -- constants ----------------------------------------------------------------
@@ -482,3 +523,23 @@ def test_second_evaluates_subsum_gcd_condition_once(monkeypatch):
     assert rep.constants["d"] == 2 and len(rep.blocks) == 2
     assert {"squarefree_corollary", "triple_gcd_bound"} <= set(rep.degree_checks)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verify", [verify_abc_first, verify_abc_second, verify_corollaries])
+def test_one_subset_walk_per_verification(monkeypatch, verify):
+    import polyabc.abcengine
+
+    # one block: the partition reuses the verification's walk
+    z, one = _z(Q2), _one(Q2)
+    fs = [z * z, _c(Q2, 2) * z + one, -(z + one) ** 2]
+    calls = []
+    walk = polyabc.abcengine._vanishing
+
+    def counted(gs):
+        calls.append(len(gs))
+        return walk(gs)
+
+    monkeypatch.setattr(polyabc.abcengine, "_vanishing", counted)
+    rep = verify(fs)
+    assert rep.verdict == "HOLDS" and len(rep.blocks) == 1 and rep.certificates
+    assert calls == [3]

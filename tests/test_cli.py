@@ -38,6 +38,18 @@ def test_unknown_command_exit_1():
     assert code == 1
 
 
+def test_help_lists_every_command_and_a_commands_flags():
+    code, out = _run(["--help"])
+    assert code == 0
+    assert all(name in out for name in cli.COMMANDS) and len(cli.COMMANDS) == 12
+    code, out = _run(["corpus-run", "--help"])
+    assert code == 0
+    words = set(out.replace(",", " ").split())
+    assert {"--instance", "--rho", "--ell", "--s", "--k", "--seed", "--format",
+            "--oracle-degree-cap", "--count", "--field", "--m", "--n", "--deg", "--mode",
+            "--check"} <= words
+
+
 def test_missing_instance_is_error():
     code, out = _run(["norm"])
     assert code == 1
