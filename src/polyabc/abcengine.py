@@ -426,7 +426,9 @@ def _max_deg(fs) -> int:
 
 
 def _max_log_profile(fs) -> PiecewiseLinear:
-    return PiecewiseLinear.max_of([norm_profile(f) for f in fs])
+    """rho -> max_j log|f_j|_{p^rho}: one envelope over the terms of every f_j."""
+    return PiecewiseLinear.upper_envelope(
+        (sum(e), c.log_abs()) for f in fs for e, c in f.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +638,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             return rep
     d = f_rank(fs)
     k_bar = min(k, d)
+    max_norm = _max_log_profile(fs)
     vanishing = _vanishing(fs)
     blocks = split_vanishing_subsums(fs, vanishing)
     multi = len(blocks) > 1
@@ -645,7 +648,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
     if k_bar > 2:
         if not rep.add_hypothesis("no_vanishing_subsum", not multi,
                                   witness=f"blocks {blocks}" if multi else ""):
-            _abcsf_section(rep, fs, None, d, k_bar, rhos, blocks, gcd_cond)
+            _abcsf_section(rep, fs, max_norm, None, d, k_bar, rhos, blocks, gcd_cond)
             return rep
 
     if spec.characteristic == 0:
@@ -674,7 +677,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
                 rep.add_hypothesis(
                     "block_coprimality", False,
                     witness=f"block {block} admits no internal coprimality level")
-                _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, gcd_cond)
+                _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond)
                 return rep
         analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
         a_bar = max(a.constants.a_bar for a in live)
@@ -692,10 +695,9 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
     lhs_deg = _max_deg(fs)
     rep.notes.append(f"product_truncation_degree={G.total_degree()}")
     rep.add_degree_check("product", lhs_deg, G.total_degree() - b_star)
-    margin = (counting(G).integrated + PiecewiseLinear.line(-b_star, 0)
-              - _max_log_profile(fs))
+    margin = counting(G).integrated + PiecewiseLinear.line(-b_star, 0) - max_norm
     rep.add_margin("product_margin", margin, rhos, primary=True)
-    _abcsf_section(rep, fs, c_global, d, k_bar, rhos, blocks, gcd_cond, S=S)
+    _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond, S=S)
     if spec.characteristic == 0 and k == 3:
         _bb_section(rep, fs, S, gcd_cond)  # in characteristic 0, R(F) is S(F)
     return rep
@@ -708,10 +710,12 @@ def _product(fs) -> MvPoly:
     return F
 
 
-def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, gcd_cond, S=None):
+def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond,
+                   S=None):
     """Squarefree-part corollary: max log|f_j| <= A (N^(1)_F - log r) + O(1),
-    with S the square-free part of F = prod f_j, computed here if not given,
-    and gcd_cond the subsum gcd condition, read when there are several blocks."""
+    with max_norm the profile of max log|f_j|, S the square-free part of
+    F = prod f_j, computed here if not given, and gcd_cond the subsum gcd
+    condition, read when there are several blocks."""
     spec = fs[0].spec
     if c_global is None:
         c_global = 1 if spec.characteristic == 0 else spec.p ** (
@@ -730,8 +734,7 @@ def _abcsf_section(rep: AbcReport, fs, c_global, d, k_bar, rhos, blocks, gcd_con
     lhs_deg = _max_deg(fs)
     rep.add_degree_check("squarefree_corollary", lhs_deg,
                          big_a * (S.total_degree() - 1))
-    margin = ((counting(S).integrated + PiecewiseLinear.line(-1, 0)).scale(big_a)
-              - _max_log_profile(fs))
+    margin = (counting(S).integrated + PiecewiseLinear.line(-1, 0)).scale(big_a) - max_norm
     rep.add_margin("squarefree_margin", margin, rhos)
     rep.notes.append(f"squarefree_corollary_bound={big_a}")
 

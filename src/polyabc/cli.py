@@ -16,11 +16,10 @@ from fractions import Fraction
 from .abcengine import (DEFAULT_RHOS, _frac_str, verify_abc_first,
                         verify_abc_second, verify_basic_abc, verify_corollaries)
 from .errors import CasError, SearchExhausted
-from .fields import NEG_INFINITY
 from .hasse import hasse_derivative
 from .instances import (CorpusSpec, Instance, as_int, field_spec_from_code, generate_corpus,
                         instance_to_dict, parse_instance)
-from .nevanlinna import counting, log_gauss_norm, norm_profile, poisson_constant, truncated_counting
+from .nevanlinna import counting, norm_profile, poisson_constant, truncated_counting
 from .radicals import higher_radical, radical, radical_chain
 from .wronskian import find_certificate, index_of_independence, collection_independence_index
 
@@ -129,10 +128,7 @@ def _cmd_norm(args):
             entries.append({"poly": "0", "zero": True})
             continue
         prof = norm_profile(f)
-        vals = []
-        for r in rhos:
-            v = log_gauss_norm(f, r)
-            vals.append([_frac_str(r), "-inf" if v is NEG_INFINITY else _frac_str(v)])
+        vals = [[_frac_str(r), _frac_str(prof.value(r))] for r in rhos]
         entries.append({"poly": str(f), "profile": _pl_doc(prof), "values": vals})
     doc = {"id": inst.instance_id, "command": "norm", "profiles": entries}
     if "trunc_order" in inst.params:

@@ -4,6 +4,8 @@ Radii are restricted to r = p^rho with rational rho, so the sup-norm
 log|f|_{p^rho} = max over terms of (log|a_gamma| + |gamma| rho) is the upper
 envelope of finitely many rational lines, and every quantity downstream
 (counting steps, integrated counting, margins) is exact Fraction arithmetic.
+The maximum of several norms, rho -> max_j log|f_j|_{p^rho}, is likewise one
+envelope, taken over the terms of every f_j together.
 """
 
 from __future__ import annotations
@@ -141,57 +143,6 @@ class PiecewiseLinear:
         return PiecewiseLinear(list(self.breakpoints), [s * q for s in self.slopes],
                                self.value(ref) * q)
 
-    def add_const(self, q) -> "PiecewiseLinear":
-        ref = self.breakpoints[0] if self.breakpoints else Fraction(0)
-        return PiecewiseLinear(list(self.breakpoints), list(self.slopes),
-                               self.value(ref) + Fraction(q))
-
-    def abs(self) -> "PiecewiseLinear":
-        """|self|: splits segments at sign changes, then flips negative parts."""
-        zeros = []
-        intervals = [(None, self.breakpoints[0] if self.breakpoints else None)]
-        for i in range(len(self.breakpoints)):
-            right = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else None
-            intervals.append((self.breakpoints[i], right))
-        for left, right in intervals:
-            s = self._slope_before(right)
-            if s == 0:
-                continue
-            base = right if right is not None else (left if left is not None else Fraction(0))
-            z = base - self.value(base) / s
-            if (left is None or z > left) and (right is None or z < right):
-                zeros.append(z)
-        bps = sorted(set(self.breakpoints) | set(zeros))
-        rights = bps + [None]
-        slopes = []
-        for i, r in enumerate(rights):
-            s = self._slope_before(r)
-            left = bps[i - 1] if i > 0 else None
-            if left is None and r is None:
-                probe = Fraction(0)
-            elif left is None:
-                probe = r - 1
-            elif r is None:
-                probe = left + 1
-            else:
-                probe = (left + r) / 2
-            if self.value(probe) < 0:
-                s = -s
-            slopes.append(s)
-        ref = bps[0] if bps else Fraction(0)
-        return PiecewiseLinear(bps, slopes, abs(self.value(ref)))
-
-    def max_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return (self + other + (self - other).abs()).scale(Fraction(1, 2))
-
-    @staticmethod
-    def max_of(items) -> "PiecewiseLinear":
-        items = list(items)
-        out = items[0]
-        for x in items[1:]:
-            out = out.max_with(x)
-        return out
-
     def is_nonnegative(self) -> bool:
         if not self.breakpoints:
             return self.slopes[0] == 0 and self.anchor >= 0
@@ -203,13 +154,6 @@ class PiecewiseLinear:
             return NotImplemented
         return (self.breakpoints == other.breakpoints and self.slopes == other.slopes
                 and self.anchor == other.anchor)
-
-    def table(self):
-        """Rows (rho, value, slope-to-the-right); the first row is the left tail."""
-        rows = [[None, None, self.slopes[0]]]
-        for b, v, s in zip(self.breakpoints, self.values, self.slopes[1:]):
-            rows.append([b, v, s])
-        return rows
 
     def __repr__(self):
         segs = ", ".join(str(s) for s in self.slopes)

@@ -502,6 +502,25 @@ def test_second_computes_square_free_part_once(monkeypatch):
     assert calls.count(True) == 1
 
 
+def test_second_computes_max_norm_once(monkeypatch):
+    import polyabc.abcengine
+
+    z, one = _z(F2), _one(F2)
+    fs = [z * z * (z + one), one, z ** 3 + z * z + one]
+    calls = []
+    max_log_profile = polyabc.abcengine._max_log_profile
+
+    def counted(gs):
+        calls.append(len(gs))
+        return max_log_profile(gs)
+
+    monkeypatch.setattr(polyabc.abcengine, "_max_log_profile", counted)
+    rep = verify_abc_second(fs)
+    assert rep.verdict == "HOLDS"
+    assert {"product_margin", "squarefree_margin"} <= set(rep.margin_tables)
+    assert calls == [3]
+
+
 def test_second_evaluates_subsum_gcd_condition_once(monkeypatch):
     import polyabc.abcengine
 

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyabc.abcengine import _max_log_profile
 from polyabc.errors import CasError
 from polyabc.fields import NEG_INFINITY
 from polyabc.mvpoly import MvPoly
@@ -178,14 +181,35 @@ def test_truncated_slope_caps_multiplicities():
 
 # -- piecewise-linear algebra ------------------------------------------------
 
+def _envelope_at(lines, rho):
+    return max(s * rho + b for s, b in lines)
+
+
+def _assert_canonical(P):
+    assert all(a < b for a, b in zip(P.breakpoints, P.breakpoints[1:]))
+    assert all(a != b for a, b in zip(P.slopes, P.slopes[1:]))
+    assert len(P.slopes) == len(P.breakpoints) + 1
+
+
+def _probes(P, extra=()):
+    """Every breakpoint, the midpoints between them, points past both ends."""
+    bps = P.breakpoints
+    mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    ends = [bps[0] - 1, bps[-1] + 1] if bps else [Fraction(0)]
+    return list(bps) + mids + ends + list(extra)
+
+
 def test_pl_abs_and_max():
-    A = PiecewiseLinear([], [1], -2)          # rho - 2
-    B = PiecewiseLinear([], [0], 0)           # 0
-    M = A.max_with(B)
+    # max(rho - 2, 0) and |rho - 2| = max(rho - 2, 2 - rho) as envelopes
+    M = PiecewiseLinear.upper_envelope([(1, -2), (0, 0)])
     assert M.value(0) == 0 and M.value(5) == 3 and M.value(2) == 0
-    assert M.breakpoints == [Fraction(2)]
-    absA = A.abs()
+    assert M.breakpoints == [Fraction(2)] and M.slopes == [0, 1]
+    absA = PiecewiseLinear.upper_envelope([(1, -2), (-1, 2)])
     assert absA.value(2) == 0 and absA.value(0) == 2 and absA.value(3) == 1
+    assert absA.breakpoints == [Fraction(2)] and absA.slopes == [-1, 1]
+    # dominated and repeated lines leave no trace
+    E = PiecewiseLinear.upper_envelope([(0, 0), (1, -2), (1, -5), (Fraction(1, 2), -2), (0, -1)])
+    assert E == M
 
 
 def test_pl_add_sub_scale():
@@ -219,15 +243,105 @@ def test_pl_operations_pointwise():
                   for _ in range(len(bps) + 1)]
         return PiecewiseLinear(bps, slopes, Fraction(rng.randint(-5, 5)))
 
+    def rand_lines():
+        return [(Fraction(rng.randint(-4, 4), rng.randint(1, 2)),
+                 Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 7))]
+
     for _ in range(150):
         A, B = rand_pl(), rand_pl()
-        M = A.max_with(B)
-        S = A + B
-        D = (A - B).abs()
-        for _ in range(10):
-            r = Fraction(rng.randint(-40, 40), rng.randint(1, 4))
-            assert M.value(r) == max(A.value(r), B.value(r))
+        S, D = A + B, A - B
+        lines = rand_lines()
+        M = PiecewiseLinear.upper_envelope(lines)
+        _assert_canonical(M)
+        randoms = [Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(10)]
+        for r in _probes(M, randoms):
+            assert M.value(r) == _envelope_at(lines, r)
+        for r in _probes(S, A.breakpoints + B.breakpoints + randoms):
             assert S.value(r) == A.value(r) + B.value(r)
-            assert D.value(r) == abs(A.value(r) - B.value(r))
-        assert M.final_slope == max(A.final_slope, B.final_slope)
-        assert M.initial_slope == min(A.initial_slope, B.initial_slope)
+            assert D.value(r) == A.value(r) - B.value(r)
+        assert M.final_slope == max(s for s, _ in lines)
+        assert M.initial_slope == min(s for s, _ in lines)
+
+
+def test_max_log_profile_is_max_of_norms():
+    rng = random.Random("maxnorm")
+    for spec in ALL_SPECS:
+        for m in (1, 2):
+            for _ in range(8):
+                fs = [random_poly(rng, spec, m, 5, nonzero=True)
+                      for _ in range(rng.randint(1, 5))]
+                M = _max_log_profile(fs)
+                _assert_canonical(M)
+                sampled = [Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(6)]
+                for r in _probes(M, sampled):
+                    assert M.value(r) == max(log_gauss_norm(f, r) for f in fs)
+                assert M.initial_slope == min(f.min_degree() for f in fs)
+                assert M.final_slope == max(f.total_degree() for f in fs)
+
+
+# -- property tests: every operation agrees with sampled evaluation ----------
+
+_fracs = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@st.composite
+def _pl_data(draw):
+    bps = sorted(draw(st.lists(_fracs, max_size=4, unique=True)))
+    slopes = draw(st.lists(_fracs, min_size=len(bps) + 1, max_size=len(bps) + 1))
+    return bps, slopes, draw(_fracs)
+
+
+def _pl_at(data, rho):
+    """Reference value straight from the constructor's data: the anchor is
+    the value at the first breakpoint (at rho = 0 when there is none)."""
+    bps, slopes, anchor = data
+    if not bps:
+        return anchor + slopes[0] * rho
+    v, left = anchor, bps[0]
+    if rho <= left:
+        return v + slopes[0] * (rho - left)
+    for s, right in zip(slopes[1:], bps[1:] + [None]):
+        if right is None or rho <= right:
+            return v + s * (rho - left)
+        v, left = v + s * (right - left), right
+
+
+_property = settings(max_examples=150, deadline=None)
+
+
+@_property
+@given(_pl_data(), _pl_data(), st.lists(_fracs, max_size=4))
+def test_property_add_sub_agree_with_sampling(a, b, extra):
+    A, B = PiecewiseLinear(*a), PiecewiseLinear(*b)
+    S, D = A + B, A - B
+    _assert_canonical(S)
+    _assert_canonical(D)
+    for r in _probes(S, a[0] + b[0] + extra):
+        assert A.value(r) == _pl_at(a, r)
+        assert S.value(r) == _pl_at(a, r) + _pl_at(b, r)
+        assert D.value(r) == _pl_at(a, r) - _pl_at(b, r)
+
+
+@_property
+@given(_pl_data(), _fracs, st.lists(_fracs, max_size=4))
+def test_property_scale_agrees_with_sampling(a, q, extra):
+    Q = PiecewiseLinear(*a).scale(q)
+    _assert_canonical(Q)
+    for r in _probes(Q, a[0] + extra):
+        assert Q.value(r) == q * _pl_at(a, r)
+
+
+@_property
+@given(st.lists(st.tuples(_fracs, _fracs), min_size=1, max_size=8),
+       st.lists(_fracs, max_size=4))
+def test_property_upper_envelope_agrees_with_sampling(lines, extra):
+    M = PiecewiseLinear.upper_envelope(lines)
+    _assert_canonical(M)
+    for r in _probes(M, extra):
+        assert M.value(r) == _envelope_at(lines, r)
+    assert M.initial_slope == min(s for s, _ in lines)
+    assert M.final_slope == max(s for s, _ in lines)
+    # each breakpoint is a kink where lines of two slopes meet on the envelope
+    for b in M.breakpoints:
+        assert len({s for s, c in lines if s * b + c == M.value(b)}) >= 2
