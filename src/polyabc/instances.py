@@ -29,6 +29,7 @@ FIELD_CODES = {
 
 MAX_POLYS = 13     # functions per tuple: the engine's subset searches are exhaustive
 MAX_DEGREE = 10    # degree bound of generated corpora
+MAX_LOAD_DEGREE = 1000  # total degree of a loaded polynomial: dense paths allocate degree + 1 slots
 
 
 def as_int(value, key):
@@ -113,6 +114,10 @@ def instance_from_dict(doc: dict) -> Instance:
         raise CasError("VALIDATION_ERROR", "polys must be a list of polynomials")
     guard_poly_count(len(doc["polys"]))
     polys = [structured_to_poly(spec, m, pd) for pd in doc["polys"]]
+    for f in polys:
+        if f.total_degree() > MAX_LOAD_DEGREE:
+            raise CasError("DEGREE_TOO_LARGE",
+                           f"total degree {f.total_degree()} exceeds the limit of {MAX_LOAD_DEGREE}")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise CasError("VALIDATION_ERROR", "params must be an object")

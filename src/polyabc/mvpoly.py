@@ -560,12 +560,6 @@ def poly_gcd(f: MvPoly, g: MvPoly) -> MvPoly:
     return (cont * result).normalized()
 
 
-def poly_lcm(f: MvPoly, g: MvPoly) -> MvPoly:
-    if f.is_zero() or g.is_zero():
-        raise CasError("ZERO_INPUT", "lcm needs nonzero inputs")
-    return exact_div(f * g, poly_gcd(f, g)).normalized()
-
-
 def multiplicity(f: MvPoly, P: MvPoly) -> int:
     """Largest e with P^e | f."""
     if f.is_zero():

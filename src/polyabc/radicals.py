@@ -1,19 +1,20 @@
 """Radicals, higher p^s-radicals, and the square-free part.
 
-The radical R(f) = lcm_j f / gcd(f, df/dz_j) is squarefree but, in
-characteristic p, misses factors whose multiplicity p divides.  The higher
-radical at level s>=1 recovers the factors with multiplicity divisible by
-p^s but not p^(s+1): strip what level s-1 already captured, run the radical
-construction with the order-p^s Hasse derivatives, peel the lower-level
-residue, take a p^s-th root, and join by lcm.  On polynomials the chain
-stabilizes as soon as p^(s+1) exceeds the total degree, which gives the
-square-free part without any limit construction.
+Two identities build everything.  The radical is one chained gcd and one
+division, R(f) = f / gcd(f, df/dz_1, ..., df/dz_m); it holds the irreducible
+factors of f whose multiplicity p does not divide.  Dividing every power of
+those factors out of f leaves u, whose multiplicities are all divisible by p,
+so u = v^p, and the level-s radical (the factors whose multiplicity p^(s+1)
+does not divide) is R_{p^s}(f) = R(f) * R_{p^(s-1)}(v), a product of coprime
+parts.  Each step divides the degree by p, so the chain is constant as soon
+as p^(s+1) exceeds the total degree, which gives the square-free part
+without any limit construction.  Over F_p(t) the p-th root of u can leave
+the field; that is a NOT_A_POWER error.
 
-One pass up the chain builds each level once, from the level below it, so
-the chain up to level s costs s steps; ``higher_radical``,
-``square_free_part`` and ``radical_chain`` all read their levels off that
-pass.  Callers that need several levels of one polynomial take them from
-one pass, or pass an already computed radical to ``trunc_gcd`` and
+One pass builds every level up to s; ``higher_radical``,
+``square_free_part`` and ``radical_chain`` all read their levels off it.
+Callers that need several levels of one polynomial take them from one pass,
+or pass an already computed radical to ``trunc_gcd`` and
 ``sigma_radical_gcd``.
 """
 
@@ -22,62 +23,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CasError
-from .hasse import d_axis, partial_derivative, poly_pth_root
-from .mvpoly import MvPoly, exact_div, gcd_with_power, poly_gcd, poly_lcm
+from .hasse import partial_derivative, poly_pth_root
+from .mvpoly import MvPoly, exact_div, gcd_with_power, poly_gcd
 
 
 def radical(f: MvPoly) -> MvPoly:
-    """lcm over variables of f / gcd(f, df/dz_j), graded-lex monic."""
+    """f / gcd(f, df/dz_1, ..., df/dz_m), graded-lex monic."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical of the zero polynomial")
-    out = MvPoly.one(f.spec, f.m)
+    g = f
     for j in range(f.m):
-        g = poly_gcd(f, partial_derivative(f, j))
-        h = exact_div(f, g)
-        if not h.is_constant():
-            out = poly_lcm(out, h) if not out.is_constant() else h.normalized()
-    return out.normalized()
-
-
-def _next_level(f: MvPoly, s: int, r_prev: MvPoly) -> MvPoly:
-    """R_{p^s}(f) from r_prev = R_{p^(s-1)}(f)."""
-    q = f.spec.p ** s
-    bar = exact_div(f, gcd_with_power(f, r_prev, q))
-    if bar.is_constant():
-        return r_prev
-    big_h = MvPoly.one(f.spec, f.m)
-    for i in range(f.m):
-        g_i = poly_gcd(bar, d_axis(bar, i, q))
-        h_i = exact_div(bar, g_i)
-        if not h_i.is_constant():
-            big_h = poly_lcm(big_h, h_i) if not big_h.is_constant() else h_i.normalized()
-    if big_h.is_constant():
-        return r_prev
-    g = exact_div(big_h, gcd_with_power(big_h, higher_radical(big_h, s - 1), q - 1))
-    if g.is_constant():
-        return r_prev
-    root = poly_pth_root(g.normalized(), s)
-    return poly_lcm(r_prev, root)
+        if g.is_constant():
+            break
+        g = poly_gcd(g, partial_derivative(f, j))
+    return exact_div(f, g).normalized()
 
 
 def _levels(f: MvPoly, top: int) -> list:
-    """[R_{p^0}(f), ..., R_{p^top}(f)], each level built once from the one below."""
-    levels = [radical(f)]
-    for s in range(1, top + 1):
-        levels.append(_next_level(f, s, levels[-1]))
-    return levels
+    """[R_{p^0}(f), ..., R_{p^top}(f)] by R_{p^s}(f) = R(f) * R_{p^(s-1)}(v).
+
+    The two factors are coprime and graded-lex monic, so their product is
+    the normalized level."""
+    r0 = radical(f)
+    if top == 0:
+        return [r0]
+    u = exact_div(f, gcd_with_power(f, r0, f.total_degree()))
+    if u.is_constant():
+        return [r0] * (top + 1)
+    v = poly_pth_root(u.normalized(), 1)
+    return [r0] + [r0 * r for r in _levels(v, top - 1)]
 
 
 def higher_radical(f: MvPoly, s: int) -> MvPoly:
     """The level-s radical; contains exactly the irreducible factors whose
-    multiplicity in f is not divisible by p^(s+1)."""
+    multiplicity in f is not divisible by p^(s+1).  Every level past
+    ``stable_radical_level(f)`` equals that one, so s is clamped there."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical of the zero polynomial")
     if s < 0:
         raise CasError("VALIDATION_ERROR", "radical level must be non-negative")
     if s > 0 and f.spec.characteristic == 0:
         raise CasError("WRONG_CHARACTERISTIC", "higher radicals need characteristic p")
-    return _levels(f, s)[-1]
+    return _levels(f, min(s, stable_radical_level(f)))[-1]
 
 
 def square_free_part(f: MvPoly) -> MvPoly:

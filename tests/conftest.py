@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from polyabc.fields import (PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, FieldSpec)
 from polyabc.mvpoly import MvPoly
@@ -63,6 +64,29 @@ def random_gamma(rng: random.Random, m: int, max_weight: int):
     for _ in range(rng.randint(0, max_weight)):
         exps[rng.randrange(m)] += 1
     return tuple(exps)
+
+
+def _property_coeff(spec: FieldSpec):
+    """Small coefficients: fractions over Q_p, residues over F_p, and
+    (a + b t) / d with d in {1, t, 1 + t} over F_p(t)."""
+    if spec.kind == RATIONAL_P_ADIC:
+        return st.fractions(-4, 4, max_denominator=4).map(spec.from_fraction)
+    if spec.kind == PRIME_FIELD:
+        return st.integers(0, spec.p - 1).map(spec.from_int)
+    t = spec.t()
+    dens = [spec.one(), t, spec.one() + t]
+    return st.builds(lambda a, b, d: (spec.from_int(a) + spec.from_int(b) * t) / dens[d],
+                     st.integers(0, spec.p - 1), st.integers(0, spec.p - 1), st.integers(0, 2))
+
+
+@st.composite
+def property_polys(draw, specs, count: int):
+    """``count`` polynomials over one field drawn from ``specs``, in m <= 2
+    variables, each with at most 3 terms of partial degree <= 2."""
+    spec = draw(st.sampled_from(specs))
+    m = draw(st.integers(1, 2))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * m), _property_coeff(spec))
+    return [MvPoly.from_terms(spec, m, draw(st.lists(term, max_size=3))) for _ in range(count)]
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -108,9 +110,12 @@ def test_corpus_run_deterministic_bytes():
 
 
 def test_console_entry_point():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "polyabc.cli", "verify-basic",
                            "--instance", "instances/basic_char0.json"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verdict: HOLDS" in proc.stdout
 
@@ -248,3 +253,31 @@ def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
     assert entry["terminal_level"] == 2
     assert entry["square_free_part"] == str(z * (z + one) * (z * z + one))
     assert calls.count(True) == 1
+
+
+def test_huge_radical_level_returns_at_once():
+    # every level past the stable one is the square-free part, so the level
+    # is clamped instead of climbing a billion steps
+    inst = ["--instance", "instances/fermat_f5.json", "--format", "machine"]
+    t0 = time.perf_counter()
+    code, out = _run(["radical", "--s", "1000000000"] + inst)
+    assert code == 0 and time.perf_counter() - t0 < 30
+    code, sq = _run(["sqfree"] + inst)
+    assert code == 0
+    got = [e["higher_radical_level_1000000000"] for e in json.loads(out)["entries"]]
+    assert got == [e["square_free_part"] for e in json.loads(sq)["entries"]]
+
+
+def test_degree_guard_at_load(tmp_path):
+    doc = {"id": "huge-degree", "field": {"kind": "prime_field", "p": 3}, "vars": ["z1"],
+           "polys": [[[[10 ** 8], "1"], [[0], "1"]], [[[1], "1"]]], "params": {}}
+    path = tmp_path / "huge-degree.json"
+    path.write_text(json.dumps(doc))
+    for command in ("norm", "radical", "verify-basic"):
+        code, out = _run([command, "--instance", str(path), "--format", "machine"])
+        assert code == 1
+        assert json.loads(out)["error"] == "DEGREE_TOO_LARGE"
+    doc["polys"][0][0][0] = [1000]
+    path.write_text(json.dumps(doc))
+    code, out = _run(["norm", "--instance", str(path), "--format", "machine"])
+    assert code == 0

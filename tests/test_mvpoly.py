@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from polyabc.errors import CasError, NotDivisible
 from polyabc.mvpoly import (MvPoly, divides, exact_div, gcd_with_power, multiplicity,
-                            poly_from_text, poly_gcd, poly_lcm)
+                            poly_from_text, poly_gcd)
 from polyabc.oracle import squarefree_factor_oracle
 
-from conftest import ALL_SPECS, F2, F3, F5, Q2, Q3, random_poly
+from conftest import ALL_SPECS, F2, F3, F3T, F5, Q2, Q3, property_polys, random_poly
 
 
 def _z(spec, m=1, i=0):
@@ -73,20 +74,6 @@ def test_gcd_both_zero():
     with pytest.raises(CasError) as exc:
         poly_gcd(MvPoly.zero(Q2, 1), MvPoly.zero(Q2, 1))
     assert exc.value.code == "BOTH_ZERO"
-
-
-def test_lcm_examples():
-    x, y = _z(Q2, 2, 0), _z(Q2, 2, 1)
-    assert poly_lcm(x, y) == x * y
-    f = random_poly(random.Random(5), F3, 2, 3, nonzero=True)
-    assert poly_lcm(f, f) == f.normalized()
-    z, one = _z(Q2), MvPoly.one(Q2, 1)
-    lcm = poly_lcm((z + one) * z, (z + one) * (z + _c(Q2, 2)))
-    expected = z * (z + one) * (z + _c(Q2, 2))
-    assert lcm == expected.normalized()
-    with pytest.raises(CasError) as exc:
-        poly_lcm(MvPoly.zero(Q2, 1), z)
-    assert exc.value.code == "ZERO_INPUT"
 
 
 def test_multiplicity_examples():
@@ -260,3 +247,26 @@ def test_gcd_differential_vs_sympy():
         ours = poly_gcd(f * h, g * h)
         theirs = sympy.gcd(to_sympy(f * h), to_sympy(g * h))
         assert sympy.simplify(to_sympy(ours) / theirs).is_constant()
+
+
+# -- property tests over Q_2, F_3 and F_3(t), m <= 2 --------------------------
+
+_property = settings(max_examples=150, deadline=None)
+
+
+@_property
+@given(property_polys([Q2, F3, F3T], 2))
+def test_property_exact_div_inverts_mul(fg):
+    f, g = fg
+    assume(not g.is_zero())
+    assert exact_div(f * g, g) == f
+
+
+@_property
+@given(property_polys([Q2, F3, F3T], 3))
+def test_property_gcd_of_common_multiples(fgh):
+    f, g, h = fgh
+    assume(not h.is_zero() and not (f.is_zero() and g.is_zero()))
+    d = poly_gcd(f * h, g * h)
+    assert divides(d, f * h) and divides(d, g * h)
+    assert divides(h, d)

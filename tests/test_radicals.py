@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from polyabc.errors import CasError
 from polyabc.hasse import partial_derivative
@@ -9,7 +10,7 @@ from polyabc.oracle import squarefree_factor_oracle
 from polyabc.radicals import (higher_radical, radical, radical_chain, sigma_radical_gcd,
                               square_free_part, stable_radical_level, trunc_gcd)
 
-from conftest import F2, F3, F3T, Q2, Q3, random_poly
+from conftest import F2, F3, F3T, F5, Q2, Q3, property_polys, random_poly
 
 
 def _z(spec, m=1, i=0):
@@ -95,7 +96,7 @@ def test_oracle_characterizations_charp():
     # factor set of the level-s radical: multiplicity not divisible by p^(s+1);
     # the chain, higher_radical and square_free_part agree level by level, and
     # the levels past the terminal one repeat it
-    for spec in (F2, F3):
+    for spec in (F2, F3, F5):
         p = spec.p
         rng = random.Random(f"chars-{p}")
         for m in (1, 2):
@@ -104,7 +105,7 @@ def test_oracle_characterizations_charp():
             for _ in range(30):
                 exps = [rng.randint(1, p * p) for _ in primes]
                 f = _planted(spec, primes, exps)
-                if f.total_degree() > 9:
+                if f.total_degree() > max(9, p * p + 1):
                     continue
                 chain = radical_chain(f)
                 top = chain.terminal_s
@@ -118,6 +119,62 @@ def test_oracle_characterizations_charp():
                 assert S == square_free_part(f) == _product(spec, m, primes)
                 assert higher_radical(f, top + 1) == S
                 assert higher_radical(f, top + 2) == S
+
+
+def test_planted_ratfunc_levels():
+    # F_3(t) products whose p-th-power factors have p-th roots in F_3(t):
+    # every level keeps the factors whose multiplicity p^(s+1) does not divide
+    z, one = _z(F3T), MvPoly.one(F3T, 1)
+    t = MvPoly.constant(F3T, 1, F3T.t())
+    f = (z + t) ** 3 * (z + one) ** 2 * (z * z + t)
+    assert radical(f) == ((z + one) * (z * z + t)).normalized()
+    S = ((z + t) * (z + one) * (z * z + t)).normalized()
+    assert higher_radical(f, 1) == square_free_part(f) == S
+    x, y = _z(F3T, 2, 0), _z(F3T, 2, 1)
+    tt = MvPoly.constant(F3T, 2, F3T.t())
+    primes = [x + tt, y * y + tt, x + tt * y + MvPoly.one(F3T, 2), x * y + tt * tt]
+    rng = random.Random("ratfunc-planted")
+    for _ in range(40):
+        sel = rng.sample(range(len(primes)), rng.randint(1, 3))
+        exps = [rng.choice([1, 2, 3, 4, 6, 9]) for _ in sel]
+        f = _planted(F3T, [primes[j] for j in sel], exps)
+        if f.total_degree() > 12:
+            continue
+        chain = radical_chain(f)
+        for s, got in chain.entries:
+            expected = [primes[j] for j, e in zip(sel, exps) if e % 3 ** (s + 1)]
+            assert got == (_product(F3T, 2, expected) if expected else MvPoly.one(F3T, 2))
+        assert chain.entries[-1][1] == _product(F3T, 2, [primes[j] for j in sel])
+
+
+def test_radical_matches_oracle_q2_bivariate():
+    rng = random.Random("q2-m2")
+    checked = 0
+    for _ in range(30):
+        f = random_poly(rng, Q2, 2, 2, nonzero=True) ** rng.randint(1, 3)
+        f = f * random_poly(rng, Q2, 2, 2, nonzero=True)
+        if f.is_constant() or f.total_degree() > 8:
+            continue
+        expected = _product(Q2, 2, [P for P, _ in squarefree_factor_oracle(f)])
+        assert radical(f) == square_free_part(f) == expected
+        checked += 1
+    assert checked >= 15
+
+
+def test_huge_level_is_the_square_free_part():
+    z, one = _z(F5), MvPoly.one(F5, 1)
+    f = z ** 25 * (z + one) ** 7
+    assert higher_radical(f, 10 ** 9) == square_free_part(f) == z * (z + one)
+
+
+@settings(max_examples=150, deadline=None)
+@given(property_polys([Q2, F3, F3T], 1))
+def test_property_radical_divides(fs):
+    f = fs[0]
+    assume(not f.is_zero())
+    r = radical(f)
+    assert divides(r, f)
+    assert r == higher_radical(f, 0)
 
 
 def test_trunc_matches_min():
