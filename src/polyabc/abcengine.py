@@ -32,8 +32,8 @@ from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
 from .nevanlinna import PiecewiseLinear, counting, norm_profile
-from .radicals import (_levels, radical, sigma_radical_gcd, square_free_part,
-                       stable_radical_level, trunc_gcd)
+from .radicals import (radical, sigma_radical_gcd, square_free_decomposition,
+                       square_free_part, stable_radical_level, trunc_gcd)
 from .wronskian import (WronskianCertificate, collection_independence_index, f_rank,
                         field_rank, coeff_vector_basis, find_certificate)
 
@@ -572,13 +572,10 @@ def verify_abc_first(fs, rhos=None, instance_id="") -> AbcReport:
             g_trunc[i] = MvPoly.one(spec, f.m)
             continue
         consts = ana.constants
-        if charp:
-            top = stable_radical_level(f)
-            levels = _levels(f, max(top, consts.sigma))
-            g_trunc[i] = trunc_gcd(f, consts.a, levels[top])
-            g_charp[i] = sigma_radical_gcd(f, consts.a, consts.sigma, levels[consts.sigma])
-        else:
-            g_trunc[i] = g_charp[i] = trunc_gcd(f, consts.a)
+        parts = square_free_decomposition(f, stable_radical_level(f))
+        g_trunc[i] = trunc_gcd(f, consts.a, parts)
+        g_charp[i] = (sigma_radical_gcd(f, consts.a, consts.sigma, parts) if charp
+                      else g_trunc[i])
 
     b_star = min(a.constants.b for a in live)
     lhs_deg = _max_deg(fs)
@@ -690,8 +687,9 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             "no relation between them is asserted")
 
     F = _product(fs)
-    S = square_free_part(F)
-    G = trunc_gcd(F, a_bar, S)
+    parts = square_free_decomposition(F, stable_radical_level(F))
+    S = square_free_part(F, parts)
+    G = trunc_gcd(F, a_bar, parts)
     lhs_deg = _max_deg(fs)
     rep.notes.append(f"product_truncation_degree={G.total_degree()}")
     rep.add_degree_check("product", lhs_deg, G.total_degree() - b_star)
@@ -772,13 +770,15 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
 
     # exact bound via gcd(f_j, R(f_j)^a), with a taken from the block that
     # realizes the maximal degree; in characteristic 0, R(f_j) is the
-    # square-free part trunc_gcd takes, and the sweep below reuses it
-    rads = [None if f.is_constant() else radical(f) for f in fs]
+    # square-free part, and one decomposition of f_j gives it and every
+    # truncation
+    parts = [None if f.is_constant() else square_free_decomposition(f, 0) for f in fs]
+    rads = [None if ps is None else square_free_part(f, ps) for f, ps in zip(fs, parts)]
     lhs_deg = _max_deg(fs)
     j0 = max(range(len(fs)), key=lambda i: fs[i].total_degree())
     a0 = block_of[j0].constants.a
-    r_values = [0 if r is None else trunc_gcd(f, a0, r).total_degree()
-                for f, r in zip(fs, rads)]
+    r_values = [0 if ps is None else trunc_gcd(f, a0, ps).total_degree()
+                for f, ps in zip(fs, parts)]
     rep.add_degree_check("radical_truncation_exact", lhs_deg,
                          sum(r_values) - a0 * (a0 + 1) // 2)
     rep.notes.append(f"r_a_degrees={r_values} a={a0}")
@@ -786,7 +786,7 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
         a_b = ana.constants.a
         block_lhs = max(fs[i].total_degree() for i in ana.indices)
         block_rhs = sum(
-            0 if rads[i] is None else trunc_gcd(fs[i], a_b, rads[i]).total_degree()
+            0 if parts[i] is None else trunc_gcd(fs[i], a_b, parts[i]).total_degree()
             for i in ana.indices) - a_b * (a_b + 1) // 2
         rep.add_degree_check(f"radical_truncation_block_{ana.indices[0]}",
                              block_lhs, block_rhs)

@@ -190,12 +190,12 @@ def _cmd_sqfree(args):
     entries = []
     for f in inst.polys:
         chain = radical_chain(f)
-        sqfree = chain.entries[-1][1]
+        sqfree = chain[-1]
         entry = {
             "poly": str(f),
             "square_free_part": str(sqfree),
-            "chain": [[s, str(r)] for s, r in chain.entries],
-            "terminal_level": chain.terminal_s,
+            "chain": [[s, str(r)] for s, r in enumerate(chain)],
+            "terminal_level": len(chain) - 1,
         }
         chk = _oracle_check(sqfree, cap)
         if chk is not None:

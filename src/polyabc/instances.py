@@ -41,6 +41,8 @@ def as_int(value, key):
 
 def guard_poly_count(count: int):
     """The one bound on the number of functions a tuple may hold."""
+    if count < 1:
+        raise CasError("VALIDATION_ERROR", "an instance needs at least one function")
     if count > MAX_POLYS:
         raise CasError("GUARD_EXCEEDED", f"{count} functions exceed the limit of {MAX_POLYS}")
 

@@ -574,27 +574,3 @@ def multiplicity(f: MvPoly, P: MvPoly) -> int:
         except NotDivisible:
             return e
         e += 1
-
-
-def gcd_with_power(f: MvPoly, base: MvPoly, k: int) -> MvPoly:
-    """gcd(f, base^k) for squarefree base, without expanding the power.
-
-    Peels one squarefree layer per round: the product of the first k layers
-    carries each shared irreducible with multiplicity min(k, its multiplicity
-    in f).
-    """
-    if f.is_zero():
-        raise CasError("ZERO_POLY", "gcd with zero")
-    if k < 0:
-        raise CasError("VALIDATION_ERROR", "negative power")
-    out = MvPoly.one(f.spec, f.m)
-    cur = f
-    for _ in range(k):
-        if base.is_constant() or cur.is_constant():
-            break
-        d = poly_gcd(cur, base)
-        if d.is_constant():
-            break
-        out = out * d
-        cur = exact_div(cur, d)
-    return out.normalized()

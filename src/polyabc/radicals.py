@@ -1,57 +1,81 @@
-"""Radicals, higher p^s-radicals, and the square-free part.
+"""Radicals, higher p^s-radicals, the square-free part and its truncations.
 
-Two identities build everything.  The radical is one chained gcd and one
-division, R(f) = f / gcd(f, df/dz_1, ..., df/dz_m); it holds the irreducible
-factors of f whose multiplicity p does not divide.  Dividing every power of
-those factors out of f leaves u, whose multiplicities are all divisible by p,
-so u = v^p, and the level-s radical (the factors whose multiplicity p^(s+1)
-does not divide) is R_{p^s}(f) = R(f) * R_{p^(s-1)}(v), a product of coprime
-parts.  Each step divides the degree by p, so the chain is constant as soon
-as p^(s+1) exceeds the total degree, which gives the square-free part
-without any limit construction.  Over F_p(t) the p-th root of u can leave
-the field; that is a NOT_A_POWER error.
-
-One pass builds every level up to s; ``higher_radical``,
-``square_free_part`` and ``radical_chain`` all read their levels off it.
-Callers that need several levels of one polynomial take them from one pass,
-or pass an already computed radical to ``trunc_gcd`` and
-``sigma_radical_gcd``.
+All are read off one square-free decomposition f = c * prod a_i^i, with
+squarefree, pairwise coprime a_i (Yun's algorithm in all variables at once).
+g = gcd(f, df/dz_1, ..., df/dz_m) leaves the radical f / g, the factors whose
+multiplicity p does not divide; peeling it off g layer by layer gives those
+a_i.  What g keeps is v^p, and v's decomposition, its multiplicities scaled
+by p, gives the rest; it is complete once p^(s+1) exceeds the degree.  Over
+F_p(t) the p-th root can leave the field (NOT_A_POWER), so a decomposition
+goes only as deep as its caller's level needs.  Each object is one product
+prod a_i^min(i, cap) over the i that p^(s+1) does not divide: R_{p^s}(f)
+(cap 1), S(f) (cap 1, every i), gcd(f, S(f)^ell) (cap ell, every i) and
+gcd(f, R_{p^sigma}(f)^a) (cap a, s = sigma).  Callers that need several of
+them for one polynomial pass its decomposition as ``parts``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CasError
 from .hasse import partial_derivative, poly_pth_root
-from .mvpoly import MvPoly, exact_div, gcd_with_power, poly_gcd
+from .mvpoly import MvPoly, exact_div, poly_gcd
+
+
+def _derivative_gcd(f: MvPoly) -> MvPoly:
+    """gcd(f, df/dz_1, ..., df/dz_m), chained."""
+    g = f
+    for j in range(f.m):
+        if g.is_constant():
+            break
+        g = poly_gcd(g, partial_derivative(f, j))
+    return g
 
 
 def radical(f: MvPoly) -> MvPoly:
     """f / gcd(f, df/dz_1, ..., df/dz_m), graded-lex monic."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical of the zero polynomial")
-    g = f
-    for j in range(f.m):
-        if g.is_constant():
-            break
-        g = poly_gcd(g, partial_derivative(f, j))
-    return exact_div(f, g).normalized()
+    return exact_div(f, _derivative_gcd(f)).normalized()
 
 
-def _levels(f: MvPoly, top: int) -> list:
-    """[R_{p^0}(f), ..., R_{p^top}(f)] by R_{p^s}(f) = R(f) * R_{p^(s-1)}(v).
+def square_free_decomposition(f: MvPoly, top: int) -> tuple:
+    """The pairs (i, a_i) of f = c * prod a_i^i, for every multiplicity i that
+    p^(top+1) does not divide (every i in characteristic 0), in increasing i.
 
-    The two factors are coprime and graded-lex monic, so their product is
-    the normalized level."""
-    r0 = radical(f)
-    if top == 0:
-        return [r0]
-    u = exact_div(f, gcd_with_power(f, r0, f.total_degree()))
-    if u.is_constant():
-        return [r0] * (top + 1)
-    v = poly_pth_root(u.normalized(), 1)
-    return [r0] + [r0 * r for r in _levels(v, top - 1)]
+    The a_i are squarefree, pairwise coprime and graded-lex monic; only
+    nonconstant ones are listed."""
+    if f.is_zero():
+        raise CasError("ZERO_POLY", "square-free decomposition of the zero polynomial")
+    g = _derivative_gcd(f)
+    w = exact_div(f, g)
+    parts = []
+    i = 1
+    while not w.is_constant():
+        y = poly_gcd(w, g)
+        a = exact_div(w, y)
+        if not a.is_constant():
+            parts.append((i, a.normalized()))
+        w, g = y, exact_div(g, y)
+        i += 1
+    if top > 0 and not g.is_constant():
+        p = f.spec.characteristic
+        deeper = square_free_decomposition(poly_pth_root(g.normalized(), 1), top - 1)
+        parts += [(p * j, a) for j, a in deeper]
+    return tuple(sorted(parts, key=lambda part: part[0]))
+
+
+def _product(f: MvPoly, parts, cap: int, s: int | None = None) -> MvPoly:
+    """prod a_i^min(i, cap) over the parts (i, a_i) of f, decomposed here to
+    depth s (the stable level if s is None) when parts is None, keeping only
+    the i that p^(s+1) does not divide when s is given."""
+    if parts is None:
+        parts = square_free_decomposition(f, stable_radical_level(f) if s is None else s)
+    q = f.spec.characteristic ** (s + 1) if s is not None else 0
+    out = MvPoly.one(f.spec, f.m)
+    for i, a in parts:
+        if not q or i % q:
+            out = out * a ** min(i, cap)
+    return out
 
 
 def higher_radical(f: MvPoly, s: int) -> MvPoly:
@@ -64,14 +88,14 @@ def higher_radical(f: MvPoly, s: int) -> MvPoly:
         raise CasError("VALIDATION_ERROR", "radical level must be non-negative")
     if s > 0 and f.spec.characteristic == 0:
         raise CasError("WRONG_CHARACTERISTIC", "higher radicals need characteristic p")
-    return _levels(f, min(s, stable_radical_level(f)))[-1]
+    return _product(f, None, 1, min(s, stable_radical_level(f)))
 
 
-def square_free_part(f: MvPoly) -> MvPoly:
+def square_free_part(f: MvPoly, parts: tuple | None = None) -> MvPoly:
     """Squarefree polynomial with exactly the irreducible factors of f."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "square-free part of the zero polynomial")
-    return _levels(f, stable_radical_level(f))[-1]
+    return _product(f, parts, 1)
 
 
 def stable_radical_level(f: MvPoly) -> int:
@@ -86,44 +110,32 @@ def stable_radical_level(f: MvPoly) -> int:
     return s
 
 
-def trunc_gcd(f: MvPoly, ell: int, sqfree: MvPoly | None = None) -> MvPoly:
-    """gcd(f, S(f)^ell): every irreducible P at multiplicity min(ell, mult).
-
-    ``sqfree`` is S(f) when the caller has already computed it."""
+def trunc_gcd(f: MvPoly, ell: int, parts: tuple | None = None) -> MvPoly:
+    """gcd(f, S(f)^ell): every irreducible P at multiplicity min(ell, mult)."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "truncation of the zero polynomial")
     if ell < 1:
         raise CasError("VALIDATION_ERROR", "truncation level must be positive")
-    return gcd_with_power(f, square_free_part(f) if sqfree is None else sqfree, ell)
+    return _product(f, parts, ell)
 
 
-def sigma_radical_gcd(f: MvPoly, a: int, sigma: int,
-                      r_sigma: MvPoly | None = None) -> MvPoly:
-    """gcd(f, R_{p^sigma}(f)^a), the characteristic-p counting object.
-
-    ``r_sigma`` is R_{p^sigma}(f) when the caller has already computed it."""
+def sigma_radical_gcd(f: MvPoly, a: int, sigma: int, parts: tuple | None = None) -> MvPoly:
+    """gcd(f, R_{p^sigma}(f)^a), the characteristic-p counting object; parts
+    must reach depth sigma."""
     if f.spec.characteristic == 0:
         raise CasError("WRONG_CHARACTERISTIC", "sigma-radical needs characteristic p")
     if f.is_zero():
         raise CasError("ZERO_POLY", "truncation of the zero polynomial")
     if a < 1 or sigma < 0:
         raise CasError("VALIDATION_ERROR", "bad truncation parameters")
-    if r_sigma is None:
-        r_sigma = higher_radical(f, sigma)
-    return gcd_with_power(f, r_sigma, a)
+    return _product(f, parts, a, min(sigma, stable_radical_level(f)))
 
 
-@dataclass
-class RadicalChain:
-    """The ladder s -> R_{p^s}(f) up to the stabilization level."""
-
-    f: MvPoly
-    entries: list  # (s, MvPoly)
-    terminal_s: int
-
-
-def radical_chain(f: MvPoly) -> RadicalChain:
+def radical_chain(f: MvPoly) -> list:
+    """[R_{p^0}(f), ..., R_{p^top}(f)], top = ``stable_radical_level(f)``: the
+    last entry is the terminal level, the square-free part."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical chain of the zero polynomial")
     top = stable_radical_level(f)
-    return RadicalChain(f=f, entries=list(enumerate(_levels(f, top))), terminal_s=top)
+    parts = square_free_decomposition(f, top)
+    return [_product(f, parts, 1, s) for s in range(top + 1)]

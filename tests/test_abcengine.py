@@ -480,26 +480,48 @@ def test_truncated_counting_additivity_pairwise():
         assert lhs == rhs
 
 
-def test_second_computes_square_free_part_once(monkeypatch):
+def _count_decompositions(monkeypatch):
     import polyabc.abcengine
     import polyabc.radicals
 
+    calls = []
+    square_free_decomposition = polyabc.radicals.square_free_decomposition
+
+    def counted(g, top):
+        calls.append(g)
+        return square_free_decomposition(g, top)
+
+    for mod in (polyabc.radicals, polyabc.abcengine):
+        monkeypatch.setattr(mod, "square_free_decomposition", counted)
+    return calls
+
+
+def test_second_computes_square_free_part_once(monkeypatch):
     z, one = _z(F2), _one(F2)
     fs = [z * z * (z + one), one, z ** 3 + z * z + one]
     F = fs[0] * fs[1] * fs[2]
-    calls = []
-    square_free_part = polyabc.radicals.square_free_part
-
-    def counted(g):
-        calls.append(g == F)
-        return square_free_part(g)
-
-    for mod in (polyabc.radicals, polyabc.abcengine):
-        monkeypatch.setattr(mod, "square_free_part", counted)
+    calls = _count_decompositions(monkeypatch)
     rep = verify_abc_second(fs)
     assert rep.verdict == "HOLDS"
     assert "squarefree_corollary" in rep.degree_checks
-    assert calls.count(True) == 1
+    assert sum(g == F for g in calls) == 1
+
+
+@pytest.mark.parametrize("verify, spec", [(verify_abc_first, Q2), (verify_abc_first, F2),
+                                          (verify_corollaries, Q2)])
+def test_one_decomposition_per_function(monkeypatch, verify, spec):
+    # every truncation of f_j, and in characteristic p its sigma-radical
+    # gcd, is read off one decomposition of f_j; constants get none
+    z, one = _z(spec), _one(spec)
+    if spec.characteristic:
+        fs = [z * z * (z + one), one, z ** 3 + z * z + one]
+    else:
+        fs = [z * z, _c(spec, 2) * z + one, -(z + one) ** 2]
+    calls = _count_decompositions(monkeypatch)
+    rep = verify(fs)
+    assert rep.verdict == "HOLDS"
+    assert [sum(g == f for g in calls) for f in fs] == [0 if f.is_constant() else 1
+                                                       for f in fs]
 
 
 def test_second_computes_max_norm_once(monkeypatch):

@@ -228,7 +228,6 @@ def test_field_prime_and_exponents_must_be_integers(tmp_path, p, exponent):
 
 
 def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
-    import polyabc.abcengine
     import polyabc.radicals
     from polyabc.instances import Instance
     from polyabc.mvpoly import MvPoly
@@ -237,14 +236,13 @@ def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
     z, one = MvPoly.variable(F3, 1, 0), MvPoly.one(F3, 1)
     f = z ** 9 * (z + one) ** 3 * (z * z + one)
     calls = []
-    radical = polyabc.radicals.radical
+    square_free_decomposition = polyabc.radicals.square_free_decomposition
 
-    def counted(g):
+    def counted(g, top):
         calls.append(g == f)
-        return radical(g)
+        return square_free_decomposition(g, top)
 
-    for mod in (polyabc.radicals, polyabc.abcengine, cli):
-        monkeypatch.setattr(mod, "radical", counted)
+    monkeypatch.setattr(polyabc.radicals, "square_free_decomposition", counted)
     inst = Instance("planted-f3", F3, ["z1"], [f], {})
     code, out = _run(["sqfree", "--instance", _write_instance(tmp_path, inst),
                       "--format", "machine"])
@@ -281,3 +279,14 @@ def test_degree_guard_at_load(tmp_path):
     path.write_text(json.dumps(doc))
     code, out = _run(["norm", "--instance", str(path), "--format", "machine"])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "corpus-run"])
+def test_empty_polys_is_a_validation_error(tmp_path, command):
+    doc = {"id": "no-polys", "field": {"kind": "prime_field", "p": 3}, "vars": ["z1"],
+           "polys": [], "params": {"gamma": [1]}}
+    path = tmp_path / "no-polys.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run([command, "--instance", str(path), "--format", "machine"])
+    assert code == 1
+    assert json.loads(out)["error"] == "VALIDATION_ERROR"

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from polyabc.errors import CasError, NotDivisible
-from polyabc.mvpoly import (MvPoly, divides, exact_div, gcd_with_power, multiplicity,
-                            poly_from_text, poly_gcd)
+from polyabc.mvpoly import MvPoly, divides, exact_div, multiplicity, poly_from_text, poly_gcd
 from polyabc.oracle import squarefree_factor_oracle
 
 from conftest import ALL_SPECS, F2, F3, F3T, F5, Q2, Q3, property_polys, random_poly
@@ -170,14 +169,6 @@ def test_gcd_common_divisor_property_multivar():
             assert divides(common, got) or divides(got, common) or divides(common, got)
             assert divides(got, f) and divides(got, g)
             assert divides(common, got)
-
-
-def test_gcd_with_power_truncates():
-    z, one = _z(Q2), MvPoly.one(Q2, 1)
-    f = z ** 3 * (z + one)
-    s = z * (z + one)
-    assert gcd_with_power(f, s, 2) == (z ** 2 * (z + one)).normalized()
-    assert gcd_with_power(f, s, 10) == f.normalized()
 
 
 def test_text_grammar_round_trip():

@@ -8,7 +8,8 @@ from polyabc.hasse import partial_derivative
 from polyabc.mvpoly import MvPoly, divides, multiplicity, poly_gcd
 from polyabc.oracle import squarefree_factor_oracle
 from polyabc.radicals import (higher_radical, radical, radical_chain, sigma_radical_gcd,
-                              square_free_part, stable_radical_level, trunc_gcd)
+                              square_free_decomposition, square_free_part,
+                              stable_radical_level, trunc_gcd)
 
 from conftest import F2, F3, F3T, F5, Q2, Q3, property_polys, random_poly
 
@@ -65,6 +66,10 @@ def test_trunc_gcd_examples():
     assert trunc_gcd(f, 50) == f.normalized()
     x, y = _z(F2, 2, 0), _z(F2, 2, 1)
     assert trunc_gcd(x ** 2 * y ** 2, 1) == x * y
+    one = MvPoly.one(Q2, 1)
+    f = z ** 3 * (z + one)
+    assert trunc_gcd(f, 2) == (z ** 2 * (z + one)).normalized()
+    assert trunc_gcd(f, 10) == f.normalized()
 
 
 def test_sigma_radical_gcd_examples():
@@ -108,14 +113,13 @@ def test_oracle_characterizations_charp():
                 if f.total_degree() > max(9, p * p + 1):
                     continue
                 chain = radical_chain(f)
-                top = chain.terminal_s
+                top = len(chain) - 1
                 assert top == stable_radical_level(f)
-                assert [s for s, _ in chain.entries] == list(range(top + 1))
-                for s, got in chain.entries:
+                for s, got in enumerate(chain):
                     expected = [P for P, e in zip(primes, exps) if e % (p ** (s + 1)) != 0]
                     assert got == _product(spec, m, expected) if expected else got.is_constant()
                     assert got == higher_radical(f, s)
-                S = chain.entries[-1][1]
+                S = chain[-1]
                 assert S == square_free_part(f) == _product(spec, m, primes)
                 assert higher_radical(f, top + 1) == S
                 assert higher_radical(f, top + 2) == S
@@ -141,10 +145,10 @@ def test_planted_ratfunc_levels():
         if f.total_degree() > 12:
             continue
         chain = radical_chain(f)
-        for s, got in chain.entries:
+        for s, got in enumerate(chain):
             expected = [primes[j] for j, e in zip(sel, exps) if e % 3 ** (s + 1)]
             assert got == (_product(F3T, 2, expected) if expected else MvPoly.one(F3T, 2))
-        assert chain.entries[-1][1] == _product(F3T, 2, [primes[j] for j in sel])
+        assert chain[-1] == _product(F3T, 2, [primes[j] for j in sel])
 
 
 def test_radical_matches_oracle_q2_bivariate():
@@ -247,21 +251,21 @@ def test_radical_chain_structure():
     zp = _z(F2)
     f = zp ** 4 * (zp + MvPoly.one(F2, 1)) ** 2
     chain = radical_chain(f)
-    assert chain.terminal_s == stable_radical_level(f)
-    assert 2 ** (chain.terminal_s + 1) > f.total_degree()
-    levels = dict(chain.entries)
+    top = len(chain) - 1
+    assert top == stable_radical_level(f)
+    assert 2 ** (top + 1) > f.total_degree()
     # multiplicities 4 and 2: level 0 sees nothing, level 1 recovers z+1, level 2 all
-    assert levels[0].is_constant()
-    assert levels[1] == zp + MvPoly.one(F2, 1)
-    assert levels[2] == zp * (zp + MvPoly.one(F2, 1))
-    for _, r in chain.entries:
+    assert chain[0].is_constant()
+    assert chain[1] == zp + MvPoly.one(F2, 1)
+    assert chain[2] == zp * (zp + MvPoly.one(F2, 1))
+    for r in chain:
         if not r.is_constant():
             assert all(e == 1 for _, e in squarefree_factor_oracle(r))
     # chain is increasing under divisibility and stable past the terminal level
-    for (_, a), (_, b) in zip(chain.entries, chain.entries[1:]):
+    for a, b in zip(chain, chain[1:]):
         if not a.is_constant():
             assert divides(a, b)
-    assert higher_radical(f, chain.terminal_s + 1) == chain.entries[-1][1]
+    assert higher_radical(f, top + 1) == chain[-1]
 
 
 def test_inseparable_ratfunc_radical_limit():
@@ -299,3 +303,64 @@ def test_mixed_bivariate_planted_radicals():
         S = square_free_part(f)
         for j in sel:
             assert multiplicity(S, primes[j]) == 1
+
+
+def test_inseparable_factor_fails_only_past_its_level():
+    # (z^3 - t)^3 * z over F_3(t): the cube root of (z^3 - t)^3 exists, that of
+    # z^3 - t does not, so levels 0 and 1 are z and level 2 is NOT_A_POWER
+    z = _z(F3T)
+    t = MvPoly.constant(F3T, 1, F3T.t())
+    f = (z ** 3 - t) ** 3 * z
+    assert stable_radical_level(f) == 2
+    assert higher_radical(f, 0) == higher_radical(f, 1) == z
+    assert square_free_decomposition(f, 1) == ((1, z),)
+    for compute in (lambda: higher_radical(f, 2), lambda: square_free_part(f),
+                    lambda: radical_chain(f)):
+        with pytest.raises(CasError) as exc:
+            compute()
+        assert exc.value.code == "NOT_A_POWER"
+
+
+
+@settings(max_examples=120, deadline=None)
+@given(property_polys([Q2, F3, F3T], 3))
+def test_property_square_free_decomposition(fs):
+    # f = u * v^2 * w^3: the parts multiply back to f, are squarefree (with
+    # separable factors: gcd(a, da/dz_1, ..., da/dz_m) = 1) and pairwise coprime
+    u, v, w = fs
+    f = u * v ** 2 * w ** 3
+    assume(not f.is_zero())
+    try:
+        parts = square_free_decomposition(f, stable_radical_level(f))
+    except CasError as exc:
+        assert exc.code == "NOT_A_POWER" and f.spec.kind == F3T.kind
+        assume(False)
+    back = MvPoly.one(f.spec, f.m)
+    for i, a in parts:
+        assert not a.is_constant() and radical(a) == a
+        back = back * a ** i
+    assert back == f.normalized()
+    for j, (_, a) in enumerate(parts):
+        for _, b in parts[j + 1:]:
+            assert poly_gcd(a, b).is_constant()
+
+
+def test_square_free_decomposition_matches_oracle():
+    # the oracle's irreducible factors, grouped by multiplicity, are the parts
+    rng = random.Random("sqf-decomposition")
+    for spec in (F2, F3, F5, Q2):
+        checked = 0
+        for m in (1, 2):
+            for _ in range(12):
+                f = MvPoly.one(spec, m)
+                for e in rng.sample(range(1, 2 * spec.p + 2), 3):
+                    f = f * random_poly(rng, spec, m, 2, max_terms=3, nonzero=True) ** e
+                if f.is_constant() or f.total_degree() > 16:
+                    continue
+                groups = {}
+                for P, e in squarefree_factor_oracle(f, degree_cap=16):
+                    groups[e] = groups.get(e, MvPoly.one(spec, m)) * P
+                parts = square_free_decomposition(f, stable_radical_level(f))
+                assert dict(parts) == groups
+                checked += 1
+        assert checked >= 8, spec
