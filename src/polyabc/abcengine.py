@@ -22,20 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
-from math import lcm
 
 from .errors import CasError
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, RATFUNC_T_ADIC, _fpt_divmod, _fpt_gcd, _fpt_mul
+from .fields import RATFUNC_T_ADIC
 from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
 from .nevanlinna import PiecewiseLinear, counting, norm_profile
 from .radicals import (radical, sigma_radical_gcd, square_free_decomposition,
                        square_free_part, stable_radical_level, trunc_gcd)
-from .wronskian import (WronskianCertificate, collection_independence_index, f_rank,
-                        field_rank, coeff_vector_basis, find_certificate)
+from .wronskian import (WronskianCertificate, _scan_rows, collection_independence_index, f_rank,
+                        field_rank, find_certificate)
 
 DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
 
@@ -52,72 +50,23 @@ def _gcd_of(fs, idxs) -> MvPoly:
     return acc.normalized()
 
 
-def _scan_rows(fs):
-    """The coefficient rows as integer lists, and the prime p they are read
-    mod (None over Q): a subsum vanishes iff its integer row sum is zero
-    (mod p).
-
-    Over Q every row is scaled by the lcm of all denominators; over F_p the
-    rows are the residues.  Over F_p(t) every row is scaled by the lcm of all
-    denominators and each F_p[t] entry is flattened to its coefficients,
-    padded to one width; a 0/1 subsum acts F_p-linearly on them.
-    """
-    spec = fs[0].spec
-    vals = [[x.val for x in row] for row in coeff_vector_basis(fs)[1]]
-    if spec.kind == RATIONAL_P_ADIC:
-        den = lcm(*(q.denominator for row in vals for q in row))
-        return [[q.numerator * (den // q.denominator) for q in row] for row in vals], None
-    p = spec.p
-    if spec.kind == PRIME_FIELD:
-        return vals, p
-    den = (1,)
-    for row in vals:
-        for _, d in row:
-            den = _fpt_divmod(_fpt_mul(den, d, p), _fpt_gcd(den, d, p), p)[0]
-    polys = [[_fpt_mul(num, _fpt_divmod(den, d, p)[0], p) for num, d in row] for row in vals]
-    width = max((len(a) for row in polys for a in row), default=0)
-    return [[c for a in row for c in a + (0,) * (width - len(a))] for row in polys], p
-
-
-def _int_rank(rows, p=None):
-    """Rank of integer rows over Q (p None) or over F_p.
-
-    Fraction-free elimination: a step replaces each lower row by
-    pivot * row - head * pivot row, divided exactly by the previous pivot
-    over Z (Bareiss) and reduced mod p over F_p; neither changes the rank.
-    """
-    rows = [list(r) if p is None else [x % p for x in r] for r in rows]
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pivot = prow[c]
-        for row in rows[rank + 1:]:
-            head = row[c]
-            for j in range(c + 1, len(prow)):
-                x = pivot * row[j] - head * prow[j]
-                row[j] = x // prev if p is None else x % p
-            row[c] = 0
-        prev = pivot
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _vanishing(fs):
     """Every index set whose subsum vanishes, in (size, lex) order.
 
-    A depth-first walk over the integer rows of ``_scan_rows``: each subset's
-    sum is its parent's sum plus one row, so every subsum is formed once.
-    Sums of at most MAX_POLYS rows stay small, so they are reduced mod p
-    only in the test.
+    A depth-first walk over the exact rows of ``_scan_rows``, with each F_p[t]
+    entry over F_p(t) flattened to its coefficients, on which a 0/1 subsum
+    acts F_p-linearly: each subset's sum is its parent's sum plus one row,
+    so every subsum is formed once.  Sums of at most MAX_POLYS rows stay
+    small, so they are reduced mod p only in the test.
     """
     guard_poly_count(len(fs))
-    rows, p = _scan_rows(fs)
+    spec = fs[0].spec
+    p = spec.characteristic or None
+    rows = _scan_rows(fs)
+    if spec.kind == RATFUNC_T_ADIC:
+        width = max((a.degree_in(0) + 1 for row in rows for a in row), default=0)
+        rows = [[a.terms[(i,)].val if (i,) in a.terms else 0 for a in row for i in range(width)]
+                for row in rows]
     out = []
 
     def walk(start, sub, acc):
@@ -137,22 +86,17 @@ def _circuits(fs):
 
     Subsets come by size, so a dependent set that contains no circuit found
     before it has only independent proper subsets: it is itself a circuit.
-    Any rank + 1 members are dependent, so no circuit is larger.  Over Q and
-    F_p subsets are ranked on the integer rows of ``_scan_rows`` (scaling
-    every row by one constant changes no rank); over F_p(t) the flattened
-    rows do not give the rank, so they are ranked over the field.
+    Any rank + 1 members are dependent, so no circuit is larger.  Subsets
+    are ranked on the exact rows of ``_scan_rows``.
     """
-    if fs[0].spec.kind == RATFUNC_T_ADIC:
-        rows, rank = coeff_vector_basis(fs)[1], field_rank
-    else:
-        rows, p = _scan_rows(fs)
-        rank = partial(_int_rank, p=p)
+    spec = fs[0].spec
+    rows = _scan_rows(fs)
     out = []
-    for size in range(1, rank(rows) + 2):
+    for size in range(1, field_rank(rows, spec) + 2):
         for sub in combinations(range(len(fs)), size):
             members = set(sub)
             if (not any(members.issuperset(c) for c in out)
-                    and rank([rows[i] for i in sub]) < size):
+                    and field_rank([rows[i] for i in sub], spec) < size):
                 out.append(sub)
     return out
 
@@ -616,9 +560,8 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
         return rep
     spec = fs[0].spec
     n = len(fs) - 1
-    auto_k = detect_k(fs)
     if k is None:
-        k = auto_k if auto_k is not None and auto_k <= n else None
+        k = detect_k(fs, max_k=n)
         if k is None:
             rep.add_hypothesis("k_subset_gcd", False,
                                witness="no level k <= n has all k-subset gcds equal to 1")
@@ -648,14 +591,9 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             _abcsf_section(rep, fs, max_norm, None, d, k_bar, rhos, blocks, gcd_cond)
             return rep
 
-    if spec.characteristic == 0:
-        c_global, s_index = 1, None
-    else:
-        s_index = collection_independence_index(fs)
-        c_global = spec.p ** (s_index - 1)
-
     if not multi:
         ana = analyze_block(fs, k_override=k, vanishing=vanishing)
+        c_global = ana.constants.c
         rep.blocks.append({"indices": ana.indices, "all_constant": False,
                            "constants": ana.constants.as_dict()})
         for label, members, cert in ana.certificates:
@@ -665,6 +603,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
         b_star = ana.constants.b
         rep.constants = ana.constants.as_dict()
     else:
+        c_global = _step_c(fs)
         # every non-constant block must support a coprimality level of its own
         for block in blocks:
             sub = [fs[i] for i in block]
@@ -701,6 +640,13 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
     return rep
 
 
+def _step_c(fs) -> int:
+    """The guaranteed derivative step c for the whole tuple: 1 in
+    characteristic 0, else p^(s-1) for its collection independence index s."""
+    spec = fs[0].spec
+    return 1 if spec.characteristic == 0 else spec.p ** (collection_independence_index(fs) - 1)
+
+
 def _product(fs) -> MvPoly:
     F = fs[0]
     for f in fs[1:]:
@@ -714,10 +660,8 @@ def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, block
     with max_norm the profile of max log|f_j|, S the square-free part of
     F = prod f_j, computed here if not given, and gcd_cond the subsum gcd
     condition, read when there are several blocks."""
-    spec = fs[0].spec
     if c_global is None:
-        c_global = 1 if spec.characteristic == 0 else spec.p ** (
-            collection_independence_index(fs) - 1)
+        c_global = _step_c(fs)
     if len(blocks) > 1:
         ok, witness = gcd_cond
         if not ok:

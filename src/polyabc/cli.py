@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .abcengine import (DEFAULT_RHOS, _frac_str, verify_abc_first,
                         verify_abc_second, verify_basic_abc, verify_corollaries)
@@ -53,16 +54,15 @@ def _counting_doc(cd):
     }
 
 
-def build_parser(command) -> argparse.ArgumentParser:
-    """The top-level parser with every command name.  Only ``command`` gets
-    its arguments: one invocation parses one command."""
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command and its arguments, built once
+    per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="polyabc",
                                      description="exact ABC-theorem verification")
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
         p = sub.add_parser(name)
-        if name != command:
-            continue
         p.add_argument("--instance", help="path to an instance document")
         p.add_argument("--rho", help="comma-separated rational sample radii (log scale)")
         p.add_argument("--ell", type=int, help="truncation level")
@@ -351,7 +351,7 @@ def _render_text(doc, out):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     if not argv or argv[0] in ("-h", "--help"):
         parser.print_help()
         return 0 if argv else 1

@@ -159,9 +159,6 @@ def _fpt_add(a, b, p):
 def _fpt_neg(a, p):
     return tuple((-x) % p for x in a)
 
-def _fpt_sub(a, b, p):
-    return _fpt_add(a, _fpt_neg(b, p), p)
-
 
 def _fpt_mul(a, b, p):
     if not a or not b:

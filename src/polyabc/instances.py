@@ -30,6 +30,7 @@ FIELD_CODES = {
 MAX_POLYS = 13     # functions per tuple: the engine's subset searches are exhaustive
 MAX_DEGREE = 10    # degree bound of generated corpora
 MAX_LOAD_DEGREE = 1000  # total degree of a loaded polynomial: dense paths allocate degree + 1 slots
+KWISE_K = 3        # kwise corpora: each shared factor divides k - 1 functions
 
 
 def as_int(value, key):
@@ -149,8 +150,6 @@ class CorpusSpec:
     n: int = 2                  # free functions; the closure adds one more
     degree_bound: int = 4
     coprimality: str = "pairwise"   # pairwise | kwise | none
-    k: int = 3                      # sharing width for kwise
-    char_mode: str = ""             # informational; validated when set
 
     def validate(self):
         if self.count < 0:
@@ -163,11 +162,6 @@ class CorpusSpec:
                            f"degree bound {self.degree_bound} exceeds {MAX_DEGREE}")
         if self.coprimality not in ("pairwise", "kwise", "none"):
             raise CasError("VALIDATION_ERROR", f"bad coprimality mode {self.coprimality!r}")
-        if self.char_mode:
-            want = "zero" if self.field.characteristic == 0 else "p"
-            if self.char_mode != want:
-                raise CasError("VALIDATION_ERROR",
-                               f"characteristic mode {self.char_mode!r} does not match field")
 
 
 def _random_coeff(rng: random.Random, spec: FieldSpec, nonzero=False):
@@ -275,7 +269,7 @@ def _generate_one(rng: random.Random, cs: CorpusSpec):
                 polys.append(_build_function(rng, spec, m, factors))
         elif cs.coprimality == "kwise":
             shared = [_random_factor(rng, spec, m) for _ in range(2)]
-            owners = [rng.sample(range(n), min(cs.k - 1, n)) for _ in shared]
+            owners = [rng.sample(range(n), min(KWISE_K - 1, n)) for _ in shared]
             for i in range(n):
                 factors = [g for g, own in zip(shared, owners) if i in own]
                 extra = rng.randint(0, 1)

@@ -74,6 +74,9 @@ class MvPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0,) * self.m in self.terms)
 

@@ -6,111 +6,130 @@ whose Hasse-derivative matrix has nonzero determinant.  The chain is found
 greedily in graded-lex order; in characteristic p the guaranteed step is
 c = p^(s-1) where s is the index of independence, decided exactly by a rank
 computation on the p^s-power component decomposition.
+
+Every rank and determinant runs through one fraction-free (Bareiss)
+elimination over an exact ring: integers, residues mod p, or polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import floordiv
 
 from .errors import CasError, SearchExhausted
+from .fields import (PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, _fpt_divmod, _fpt_gcd,
+                     _fpt_mul)
 from .hasse import hasse_derivative
-from .mvpoly import MvPoly, exact_div, grlex_key
+from .mvpoly import MvPoly, exact_div
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the coefficient field
+# exact linear algebra: one fraction-free elimination
 
-def coeff_vector_basis(fs):
-    """Shared monomial basis (graded-lex descending) and dense rows."""
-    monos = sorted({e for f in fs for e in f.terms}, key=grlex_key, reverse=True)
-    zero = fs[0].spec.zero()
-    rows = [[f.terms.get(e, zero) for e in monos] for f in fs]
-    return monos, rows
-
-
-def field_rank(rows) -> int:
-    """Rank of a matrix of field elements, by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c].inverse()
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            x = rows[i][c]
-            if x.is_zero():
-                continue
-            factor = x * inv
-            row = rows[i]
-            for j in range(c, ncols):
-                row[j] = row[j] - factor * prow[j]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def f_independent(fs) -> bool:
-    """Linear independence over the coefficient field."""
-    if any(f.is_zero() for f in fs):
-        return False
-    _, rows = coeff_vector_basis(fs)
-    return field_rank(rows) == len(fs)
-
-
-def f_rank(fs) -> int:
-    _, rows = coeff_vector_basis(fs)
-    return field_rank(rows)
-
-
-# ---------------------------------------------------------------------------
-# fraction-free elimination on polynomial matrices
-
-def _bareiss(M, ncols=None):
-    """Bareiss elimination of the matrix M, in place, over the fraction field.
+def _bareiss(M, ncols=None, div=exact_div, prev=None):
+    """Bareiss elimination of the matrix M, in place, over the fraction field
+    of its entries' ring.
 
     Pivots are taken from the first ``ncols`` columns (all by default); any
     further columns are an augmented block that follows the row operations.
-    Each step divides exactly by the previous pivot, so entries stay
-    polynomials.  Returns (rank, last pivot, sign of the row permutation);
+    Each step replaces every lower row by pivot * row - head * pivot row and
+    divides it by the previous pivot with ``div``, the ring's exact division,
+    so entries stay in the ring; ``prev`` stands before the first pivot
+    (None: the first step divides nothing).  Entries are tested for zero by
+    truth value.  Returns (rank, last pivot, sign of the row permutation);
     the rows from index rank on are zero in the pivot columns.
     """
     nrows = len(M)
     width = len(M[0]) if M else 0
     ncols = width if ncols is None else ncols
-    prev, sign, rank = None, 1, 0
+    sign, rank = 1, 0
     for c in range(ncols):
         if rank == nrows:
             break
-        piv = next((i for i in range(rank, nrows) if not M[i][c].is_zero()), None)
-        if piv is None:
+        for piv in range(rank, nrows):
+            if M[piv][c]:
+                break
+        else:
             continue
         if piv != rank:
             M[rank], M[piv] = M[piv], M[rank]
             sign = -sign
         prow = M[rank]
         pivot = prow[c]
-        zero = MvPoly.zero(pivot.spec, pivot.m)
-        for i in range(rank + 1, nrows):
-            row = M[i]
+        zero = pivot - pivot
+        tail = range(c + 1, width)
+        for row in M[rank + 1:]:
             head = row[c]
-            for j in range(c + 1, width):
-                num = pivot * row[j] - head * prow[j]
-                row[j] = num if prev is None else exact_div(num, prev)
+            if prev is None:
+                for j in tail:
+                    row[j] = pivot * row[j] - head * prow[j]
+            else:
+                for j in tail:
+                    row[j] = div(pivot * row[j] - head * prow[j], prev)
             row[c] = zero
         prev = pivot
         rank += 1
     return rank, prev, sign
+
+
+def _scan_rows(fs):
+    """The coefficient rows of fs over one exact ring, in a shared monomial
+    basis: a subsum vanishes iff its rows sum to zero, and any set of the
+    functions has the rank of its rows.
+
+    Scaling every row by one nonzero constant keeps both, so over Q every
+    row is scaled by the lcm of all denominators, giving integers; over F_p
+    the rows are the residues; over F_p(t) every row is scaled by the lcm of
+    all denominators, giving polynomials in t over F_p (one-variable MvPoly).
+    """
+    spec = fs[0].spec
+    monos = sorted({e for f in fs for e in f.terms})
+    zero = spec.zero()
+    vals = [[f.terms.get(e, zero).val for e in monos] for f in fs]
+    if spec.kind == RATIONAL_P_ADIC:
+        den = lcm(*(q.denominator for row in vals for q in row))
+        return [[q.numerator * (den // q.denominator) for q in row] for row in vals]
+    if spec.kind == PRIME_FIELD:
+        return vals
+    p = spec.p
+    den = (1,)
+    for row in vals:
+        for _, d in row:
+            den = _fpt_divmod(_fpt_mul(den, d, p), _fpt_gcd(den, d, p), p)[0]
+    fp = FieldSpec(PRIME_FIELD, p)
+
+    def poly_in_t(num, d):
+        a = _fpt_mul(num, _fpt_divmod(den, d, p)[0], p)
+        return MvPoly(fp, 1, {(i,): Coeff(fp, c) for i, c in enumerate(a) if c})
+
+    return [[poly_in_t(num, d) for num, d in row] for row in vals]
+
+
+def field_rank(rows, spec) -> int:
+    """Rank over the field of ``spec`` of coefficient rows from ``_scan_rows``.
+
+    Bareiss elimination over the rows' ring: floor division is exact on the
+    integers; over F_p it multiplies by the inverse and reduces from the
+    first step on, so every zero test sees a residue; F_p[t] divides exactly.
+    """
+    M = [list(r) for r in rows]
+    if spec.kind == RATIONAL_P_ADIC:
+        return _bareiss(M, div=floordiv)[0]
+    if spec.kind == PRIME_FIELD:
+        p = spec.p
+        return _bareiss(M, div=lambda x, d: x * pow(d, -1, p) % p, prev=1)[0]
+    return _bareiss(M)[0]
+
+
+def f_rank(fs) -> int:
+    """Rank of fs over the coefficient field."""
+    return field_rank(_scan_rows(fs), fs[0].spec)
+
+
+def f_independent(fs) -> bool:
+    """Linear independence over the coefficient field."""
+    return f_rank(fs) == len(fs)
 
 
 def poly_matrix_rank(M) -> int:

@@ -4,16 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from polyabc.abcengine import (_circuits, _int_rank, _subsum_gcd_condition, _vanishing,
+from polyabc.abcengine import (_circuits, _subsum_gcd_condition, _vanishing,
                                analyze_block, bm_partition, detect_k, split_vanishing_subsums,
                                verify_abc_first, verify_abc_second, verify_basic_abc,
                                verify_corollaries)
 from polyabc.errors import CasError
+from polyabc.fields import RATFUNC_T_ADIC, FieldSpec
 from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.nevanlinna import truncated_counting
-from polyabc.wronskian import f_rank, field_rank
+from polyabc.wronskian import f_independent, f_rank
 
-from conftest import F2, F3, F3T, F5, Q2, Q3, random_poly
+from conftest import F2, F3, F3T, F5, Q2, Q3, random_coeff, random_poly
+from test_wronskian import _largest_nonzero_minor
 
 
 def _z(spec, m=1, i=0):
@@ -187,22 +189,53 @@ def test_bm_partition_minimality_random():
                 assert J  # bridges are nonempty
 
 
-def test_int_rank_matches_field_rank():
-    rng = random.Random("intrank")
-    # first pivots need a row swap; a zero column; a zero matrix; rank 1
+F2T = FieldSpec(RATFUNC_T_ADIC, 2)
+
+
+def _coeff_matrices(rng, spec):
+    """Fixed cases, then random ones with zero columns and dependent rows."""
+    # a pivot swap; a zero column; a zero first column; the zero matrix;
+    # rank 1; over F_3 the first step of [[1, 2, 1], [2, 1, 2]] is
+    # 1 * 1 - 2 * 2 = -3, zero only once reduced mod 3
     fixed = [[[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 1], [1, 0, 0]], [[0, 2], [0, 1]],
-             [[0]], [[2, 4], [1, 2], [3, 6]]]
-    for spec in (Q2, F3):
-        p = spec.p if spec.characteristic else None
-        mats = list(fixed)
-        for _ in range(80):
-            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-            zero_col = rng.randrange(ncols) if rng.random() < 0.5 else None
-            mats.append([[0 if j == zero_col or rng.random() < 0.4 else rng.randint(-5, 5)
-                          for j in range(ncols)] for _ in range(nrows)])
-        for mat in mats:
-            coeffs = [[spec.from_int(x) for x in row] for row in mat]
-            assert _int_rank(mat, p) == field_rank(coeffs), (spec, mat)
+             [[0, 0], [0, 0]], [[2, 4], [1, 2], [3, 6]], [[1, 2, 1], [2, 1, 2]],
+             [[1, 2, 1], [2, 1, 2], [0, 1, 1]]]
+    mats = [[[spec.from_int(x) for x in row] for row in mat] for mat in fixed]
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        zero_col = rng.randrange(ncols) if rng.random() < 0.5 else None
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.3:
+                a, b = rng.choice(rows), rng.choice(rows)
+                g, h = random_coeff(rng, spec), random_coeff(rng, spec)
+                rows.append([g * x + h * y for x, y in zip(a, b)])
+            else:
+                rows.append([spec.zero() if j == zero_col or rng.random() < 0.3
+                             else random_coeff(rng, spec) for j in range(ncols)])
+        mats.append(rows)
+    return mats
+
+
+@pytest.mark.parametrize("spec", [Q2, F3, F2T, F3T], ids=["Q2", "F3", "F2T", "F3T"])
+def test_coefficient_ranks_match_minors(spec):
+    # f_rank, f_independent and the circuit ranks against the largest
+    # nonzero minor of the coefficient matrix, entries as constant MvPoly
+    rng = random.Random(f"ranks-{spec}")
+    for mat in _coeff_matrices(rng, spec):
+        fs = [MvPoly.from_terms(spec, 1, [((j,), c) for j, c in enumerate(row)]) for row in mat]
+
+        def minor_rank(idxs):
+            consts = [[MvPoly.constant(spec, 1, c) for c in mat[i]] for i in idxs]
+            return _largest_nonzero_minor(consts) if consts else 0
+
+        n = len(fs)
+        assert f_rank(fs) == minor_rank(range(n)), (spec, mat)
+        assert f_independent(fs) == (minor_rank(range(n)) == n), (spec, mat)
+        circuits = [sub for size in range(1, n + 1) for sub in combinations(range(n), size)
+                    if minor_rank(sub) < size
+                    and all(minor_rank(s) == size - 1 for s in combinations(sub, size - 1))]
+        assert _circuits(fs) == circuits, (spec, mat)
 
 
 # -- constants ----------------------------------------------------------------
@@ -505,6 +538,26 @@ def test_second_computes_square_free_part_once(monkeypatch):
     assert rep.verdict == "HOLDS"
     assert "squarefree_corollary" in rep.degree_checks
     assert sum(g == F for g in calls) == 1
+
+
+def test_second_runs_each_analysis_once(monkeypatch):
+    # detect_k runs only when k is not given, and a single block's
+    # constants carry the step c of the whole tuple
+    import polyabc.abcengine
+
+    z, one = _z(F2), _one(F2)
+    fs = [z * z * (z + one), one, z ** 3 + z * z + one]
+    calls = dict.fromkeys(("detect_k", "collection_independence_index"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(polyabc.abcengine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(polyabc.abcengine, name, counted)
+    for k, detects in ((2, 0), (None, 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        rep = verify_abc_second(fs, k=k)
+        assert rep.verdict == "HOLDS"
+        assert calls == {"detect_k": detects, "collection_independence_index": 1}
 
 
 @pytest.mark.parametrize("verify, spec", [(verify_abc_first, Q2), (verify_abc_first, F2),

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -50,6 +50,31 @@ def test_help_lists_every_command_and_a_commands_flags():
     assert {"--instance", "--rho", "--ell", "--s", "--k", "--seed", "--format",
             "--oracle-degree-cap", "--count", "--field", "--m", "--n", "--deg", "--mode",
             "--check"} <= words
+
+
+def test_repeated_invocations_print_the_same_bytes():
+    # one parser serves every call in a process, so parsing must not change it
+    doc = "instances/sum_char0.json"
+    invocations = [[], ["--help"], ["frobnicate"], ["norm", "-h"], ["corpus-run", "--help"],
+                   ["norm", "--bogus"], ["norm", "--instance"],
+                   ["radical", "--instance", doc, "--s", "x"],
+                   ["norm", "--instance", doc, "--format", "machine"], ["norm", "--instance", doc],
+                   ["verify-abc2", "--instance", doc, "--k", "3"],
+                   ["norm", "--instance", doc, "extra"]]
+
+    def run_all():
+        results = []
+        for argv in invocations:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    first = run_all()
+    assert run_all() == first
+    assert [code for code, _, _ in first] == [1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 2, 1]
+    assert first[8][1].startswith("{") and first[9][1].startswith("id: ")
 
 
 def test_missing_instance_is_error():

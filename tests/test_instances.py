@@ -86,15 +86,6 @@ def test_corpus_guards():
     assert exc.value.code == "GUARD_EXCEEDED"
 
 
-def test_char_mode_validation():
-    cs = CorpusSpec(seed=1, count=1, field=Q2, char_mode="p")
-    with pytest.raises(CasError) as exc:
-        generate_corpus(cs)
-    assert exc.value.code == "VALIDATION_ERROR"
-    ok = CorpusSpec(seed=1, count=1, field=Q2, char_mode="zero")
-    assert len(generate_corpus(ok)) == 1
-
-
 def test_field_codes():
     spec = field_spec_from_code("f3t")
     assert spec.kind == "ratfunc_t_adic" and spec.p == 3
