@@ -30,8 +30,9 @@ from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
 from .nevanlinna import PiecewiseLinear, counting, norm_profile
-from .radicals import (radical, sigma_radical_gcd, square_free_decomposition,
-                       square_free_part, stable_radical_level, trunc_gcd)
+from .radicals import (_product, product_decomposition, radical, sigma_radical_gcd,
+                       square_free_decomposition, square_free_part, stable_radical_level,
+                       trunc_gcd)
 from .wronskian import (WronskianCertificate, _scan_rows, collection_independence_index, f_rank,
                         field_rank, find_certificate)
 
@@ -403,8 +404,10 @@ def verify_basic_abc(f0: MvPoly, f1: MvPoly, rhos=None, instance_id="") -> AbcRe
         rep.add_hypothesis("one_not_pth_power", ok)
     if rep.verdict != "HOLDS":
         return rep
-    F = f0 * f1 * f2
-    R = radical(F)
+    # f -> f / gcd(f, grad f) is multiplicative over the pairwise coprime
+    # f0, f1, f2, so R(f0 f1 f2) needs no product of degree sum deg f_j; a
+    # product of graded-lex monic radicals is graded-lex monic
+    R = radical(f0) * radical(f1) * radical(f2)
     lhs = _max_deg([f0, f1, f2])
     rep.add_degree_check("basic", lhs, R.total_degree() - 1)
     margin = (norm_profile(R) + PiecewiseLinear.line(-1, 0)) - _max_log_profile([f0, f1, f2])
@@ -588,7 +591,7 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
     if k_bar > 2:
         if not rep.add_hypothesis("no_vanishing_subsum", not multi,
                                   witness=f"blocks {blocks}" if multi else ""):
-            _abcsf_section(rep, fs, max_norm, None, d, k_bar, rhos, blocks, gcd_cond)
+            _abcsf_section(rep, fs, max_norm, None, d, k_bar, rhos, blocks, gcd_cond, k == 2)
             return rep
 
     if not multi:
@@ -613,7 +616,8 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
                 rep.add_hypothesis(
                     "block_coprimality", False,
                     witness=f"block {block} admits no internal coprimality level")
-                _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond)
+                _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond,
+                               k == 2)
                 return rep
         analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
         a_bar = max(a.constants.a_bar for a in live)
@@ -625,16 +629,17 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             f"multi_block: per-index constants max a_bar={a_bar}, min b={b_star}; "
             "no relation between them is asserted")
 
-    F = _product(fs)
-    parts = square_free_decomposition(F, stable_radical_level(F))
-    S = square_free_part(F, parts)
-    G = trunc_gcd(F, a_bar, parts)
+    # F = prod f_j is never formed: its parts are merged from the f_j's, with
+    # no gcd when k = 2 has proved the f_j pairwise coprime; fs[0] fixes the ring
+    parts = product_decomposition(fs, coprime=k == 2)
+    S = _product(fs[0], parts, 1)
+    G = _product(fs[0], parts, a_bar)
     lhs_deg = _max_deg(fs)
     rep.notes.append(f"product_truncation_degree={G.total_degree()}")
     rep.add_degree_check("product", lhs_deg, G.total_degree() - b_star)
     margin = counting(G).integrated + PiecewiseLinear.line(-b_star, 0) - max_norm
     rep.add_margin("product_margin", margin, rhos, primary=True)
-    _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond, S=S)
+    _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond, k == 2, S=S)
     if spec.characteristic == 0 and k == 3:
         _bb_section(rep, fs, S, gcd_cond)  # in characteristic 0, R(F) is S(F)
     return rep
@@ -647,19 +652,13 @@ def _step_c(fs) -> int:
     return 1 if spec.characteristic == 0 else spec.p ** (collection_independence_index(fs) - 1)
 
 
-def _product(fs) -> MvPoly:
-    F = fs[0]
-    for f in fs[1:]:
-        F = F * f
-    return F
-
-
 def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond,
-                   S=None):
+                   coprime, S=None):
     """Squarefree-part corollary: max log|f_j| <= A (N^(1)_F - log r) + O(1),
     with max_norm the profile of max log|f_j|, S the square-free part of
-    F = prod f_j, computed here if not given, and gcd_cond the subsum gcd
-    condition, read when there are several blocks."""
+    F = prod f_j, read here off the f_j (pairwise coprime when ``coprime``)
+    if not given, and gcd_cond the subsum gcd condition, read when there are
+    several blocks."""
     if c_global is None:
         c_global = _step_c(fs)
     if len(blocks) > 1:
@@ -672,7 +671,7 @@ def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, block
         rep.notes.append("squarefree_corollary_skipped: empty truncation bound")
         return
     if S is None:
-        S = square_free_part(_product(fs))
+        S = _product(fs[0], product_decomposition(fs, coprime), 1)
     lhs_deg = _max_deg(fs)
     rep.add_degree_check("squarefree_corollary", lhs_deg,
                          big_a * (S.total_degree() - 1))

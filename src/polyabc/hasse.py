@@ -79,12 +79,6 @@ def partial_derivative(f: MvPoly, j: int) -> MvPoly:
     return hasse_derivative(f, gamma)
 
 
-def d_axis(f: MvPoly, j: int, k: int) -> MvPoly:
-    """Hasse derivative of order k along the single axis j."""
-    gamma = tuple(k if i == j else 0 for i in range(f.m))
-    return hasse_derivative(f, gamma)
-
-
 def exponents_divisible(f: MvPoly, s: int) -> bool:
     """True when every exponent of f is componentwise divisible by p^s.
 
@@ -132,26 +126,3 @@ def poly_pth_root(f: MvPoly, s: int) -> MvPoly:
             raise CasError("NOT_A_POWER", f"coefficient {c} has no {q}-th root") from exc
         terms[tuple(e // q for e in exps)] = root
     return MvPoly(f.spec, f.m, terms)
-
-
-def frobenius_power(f: MvPoly, s: int) -> MvPoly:
-    """f^(p^s) in characteristic p, via the additive Frobenius expansion."""
-    if f.spec.characteristic == 0:
-        raise CasError("WRONG_CHARACTERISTIC", "Frobenius needs characteristic p")
-    q = f.spec.p ** s
-    terms = {}
-    for exps, c in f.terms.items():
-        terms[tuple(e * q for e in exps)] = _coeff_power(c, q)
-    return MvPoly(f.spec, f.m, terms)
-
-
-def _coeff_power(c: Coeff, n: int) -> Coeff:
-    out = c.spec.one()
-    base = c
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out

@@ -215,60 +215,6 @@ class MvPoly:
         return f"MvPoly({self})"
 
 
-def _split_top_level(text: str, sep: str):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def poly_from_text(spec: FieldSpec, m: int, text: str) -> MvPoly:
-    """Parse the term grammar "coeff * z1^e1 * z2^e2 ...", '+'-separated."""
-    from .fields import parse_coeff
-    from .errors import ParseError
-
-    text = text.strip()
-    if not text:
-        raise ParseError("empty polynomial")
-    if text == "0":
-        return MvPoly.zero(spec, m)
-    pairs = []
-    for term in _split_top_level(text, "+"):
-        term = term.strip()
-        if not term:
-            raise ParseError(f"empty term in {text!r}")
-        exps = [0] * m
-        coeff = None
-        for factor in _split_top_level(term, "*"):
-            factor = factor.strip()
-            if factor.startswith("z") and factor[1:2].isdigit():
-                name, _, power = factor.partition("^")
-                idx = int(name[1:]) - 1
-                if not 0 <= idx < m:
-                    raise ParseError(f"variable {name!r} out of range")
-                exps[idx] += int(power) if power else 1
-            else:
-                if factor.startswith("(") and factor.endswith(")"):
-                    factor = factor[1:-1]
-                c = parse_coeff(spec, factor)
-                coeff = c if coeff is None else coeff * c
-        if coeff is None:
-            coeff = spec.one()
-        pairs.append((tuple(exps), coeff))
-    return MvPoly.from_terms(spec, m, pairs)
-
-
 def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
     """The quotient f/g when g divides f exactly; NotDivisible otherwise."""
     f._check(g)
@@ -299,14 +245,6 @@ def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
             else:
                 rem[ee] = s
     return MvPoly(f.spec, f.m, quo)
-
-
-def divides(g: MvPoly, f: MvPoly) -> bool:
-    try:
-        exact_div(f, g)
-        return True
-    except NotDivisible:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +499,3 @@ def poly_gcd(f: MvPoly, g: MvPoly) -> MvPoly:
         if delta > 0:
             h = exact_div(gprev ** delta, h ** (delta - 1)) if delta > 1 else gprev
     return (cont * result).normalized()
-
-
-def multiplicity(f: MvPoly, P: MvPoly) -> int:
-    """Largest e with P^e | f."""
-    if f.is_zero():
-        raise CasError("ZERO_POLY", "multiplicity in the zero polynomial")
-    if P.is_constant():
-        raise CasError("CONSTANT_DIVISOR", "multiplicity of a constant divisor")
-    e = 0
-    cur = f
-    while True:
-        try:
-            cur = exact_div(cur, P)
-        except NotDivisible:
-            return e
-        e += 1

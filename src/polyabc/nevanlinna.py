@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CasError
-from .fields import NEG_INFINITY
 from .mvpoly import MvPoly
 
 
@@ -184,14 +183,6 @@ class CountingData:
             else:
                 break
         return self.n_values[i]
-
-
-def log_gauss_norm(f: MvPoly, rho):
-    """log_p |f|_{p^rho}: max over terms of log|a| + |gamma| rho."""
-    if f.is_zero():
-        return NEG_INFINITY
-    rho = Fraction(rho)
-    return max(c.log_abs() + sum(e) * rho for e, c in f.terms.items())
 
 
 def norm_profile(f: MvPoly) -> PiecewiseLinear:

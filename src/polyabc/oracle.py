@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .errors import CasError
+from .errors import CasError, NotDivisible
 from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec
-from .mvpoly import MvPoly, divides, exact_div, grlex_key, multiplicity
+from .mvpoly import MvPoly, exact_div, grlex_key
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -235,3 +235,26 @@ def _factor_ratfunc(f: MvPoly):
         out.append((MvPoly.from_terms(spec, f.m, terms), e))
     return out
 
+
+def divides(g: MvPoly, f: MvPoly) -> bool:
+    try:
+        exact_div(f, g)
+        return True
+    except NotDivisible:
+        return False
+
+
+def multiplicity(f: MvPoly, P: MvPoly) -> int:
+    """Largest e with P^e | f."""
+    if f.is_zero():
+        raise CasError("ZERO_POLY", "multiplicity in the zero polynomial")
+    if P.is_constant():
+        raise CasError("CONSTANT_DIVISOR", "multiplicity of a constant divisor")
+    e = 0
+    cur = f
+    while True:
+        try:
+            cur = exact_div(cur, P)
+        except NotDivisible:
+            return e
+        e += 1

@@ -11,7 +11,9 @@ goes only as deep as its caller's level needs.  Each object is one product
 prod a_i^min(i, cap) over the i that p^(s+1) does not divide: R_{p^s}(f)
 (cap 1), S(f) (cap 1, every i), gcd(f, S(f)^ell) (cap ell, every i) and
 gcd(f, R_{p^sigma}(f)^a) (cap a, s = sigma).  Callers that need several of
-them for one polynomial pass its decomposition as ``parts``.
+them for one polynomial pass its decomposition as ``parts``.  A product of
+several polynomials is decomposed from its factors' decompositions
+(``product_decomposition``), never from the product.
 """
 
 from __future__ import annotations
@@ -64,10 +66,52 @@ def square_free_decomposition(f: MvPoly, top: int) -> tuple:
     return tuple(sorted(parts, key=lambda part: part[0]))
 
 
+def product_decomposition(fs, coprime: bool = False) -> tuple:
+    """The full square-free decomposition of F = prod fs, as pairs (mu, b) in
+    increasing mu with squarefree, pairwise coprime, graded-lex monic b, read
+    off each nonconstant f's decomposition at its own stable level; F itself
+    is never formed.
+
+    The parts of every f are refined into a coprime base (factor refinement):
+    a part (i, a) splits each base element (mu, b) it meets into
+    (mu + i, gcd(a, b)) and (mu, b / gcd(a, b)).  Parts are squarefree, so
+    one pass suffices, and parts of one f are coprime, so they are never
+    compared.  When the caller has proved the fs pairwise coprime, the parts
+    are simply concatenated.  Equal mu are not grouped: ``_product`` takes
+    the product over them."""
+    base = []
+    for f in fs:
+        if f.is_constant():
+            continue
+        parts = square_free_decomposition(f, stable_radical_level(f))
+        if coprime:
+            base += parts
+            continue
+        new = []
+        for i, a in parts:
+            rest = []
+            for mu, b in base:
+                g = poly_gcd(a, b)
+                if g.is_constant():
+                    rest.append((mu, b))
+                    continue
+                new.append((mu + i, g))
+                b = exact_div(b, g)
+                if not b.is_constant():
+                    rest.append((mu, b))
+                a = exact_div(a, g)
+            if not a.is_constant():
+                new.append((i, a))
+            base = rest
+        base += new
+    return tuple(sorted(base, key=lambda part: part[0]))
+
+
 def _product(f: MvPoly, parts, cap: int, s: int | None = None) -> MvPoly:
     """prod a_i^min(i, cap) over the parts (i, a_i) of f, decomposed here to
     depth s (the stable level if s is None) when parts is None, keeping only
-    the i that p^(s+1) does not divide when s is given."""
+    the i that p^(s+1) does not divide when s is given.  Given parts, f only
+    fixes the ring: it may be any polynomial of the ring the parts lie in."""
     if parts is None:
         parts = square_free_decomposition(f, stable_radical_level(f) if s is None else s)
     q = f.spec.characteristic ** (s + 1) if s is not None else 0

@@ -12,6 +12,7 @@ Q5 = FieldSpec(RATIONAL_P_ADIC, 5)
 F2 = FieldSpec(PRIME_FIELD, 2)
 F3 = FieldSpec(PRIME_FIELD, 3)
 F5 = FieldSpec(PRIME_FIELD, 5)
+F2T = FieldSpec(RATFUNC_T_ADIC, 2)
 F3T = FieldSpec(RATFUNC_T_ADIC, 3)
 
 ALL_SPECS = [Q2, Q3, Q5, F2, F3, F5, F3T]

@@ -10,6 +10,7 @@ from polyabc.abcengine import (_circuits, _subsum_gcd_condition, _vanishing,
                                verify_corollaries)
 from polyabc.errors import CasError
 from polyabc.fields import RATFUNC_T_ADIC, FieldSpec
+from polyabc.instances import CorpusSpec, field_spec_from_code, generate_corpus
 from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.nevanlinna import truncated_counting
 from polyabc.wronskian import f_independent, f_rank
@@ -529,7 +530,8 @@ def _count_decompositions(monkeypatch):
     return calls
 
 
-def test_second_computes_square_free_part_once(monkeypatch):
+def test_second_decomposes_each_factor_once_and_never_the_product(monkeypatch):
+    # S(F) and gcd(F, S(F)^a_bar) are read off the f_j's decompositions
     z, one = _z(F2), _one(F2)
     fs = [z * z * (z + one), one, z ** 3 + z * z + one]
     F = fs[0] * fs[1] * fs[2]
@@ -537,7 +539,34 @@ def test_second_computes_square_free_part_once(monkeypatch):
     rep = verify_abc_second(fs)
     assert rep.verdict == "HOLDS"
     assert "squarefree_corollary" in rep.degree_checks
-    assert sum(g == F for g in calls) == 1
+    assert F not in calls
+    assert [sum(g == f for g in calls) for f in fs] == [1, 0, 1]
+
+
+def test_no_radical_of_a_product_on_the_heavy_tail(monkeypatch):
+    # F_3(t), m = 2, n = 3, degree bound 6, corpus seed 1, instance 1-0001:
+    # deg prod f_j = 16, whose own decomposition once dominated both checks;
+    # neither check hands a polynomial above max deg f_j to the radicals
+    import polyabc.abcengine
+    import polyabc.radicals
+
+    spec = field_spec_from_code("f3t")
+    inst = generate_corpus(CorpusSpec(seed=1, count=2, field=spec, m=2, n=3,
+                                      degree_bound=6))[1]
+    assert inst.instance_id == "1-0001"
+    fs = inst.polys
+    top = max(f.total_degree() for f in fs)
+    assert sum(f.total_degree() for f in fs) == 16
+    degrees = []
+    for name in ("square_free_decomposition", "radical"):
+        def counted(g, *args, _real=getattr(polyabc.radicals, name)):
+            degrees.append(g.total_degree())
+            return _real(g, *args)
+        for mod in (polyabc.radicals, polyabc.abcengine):
+            monkeypatch.setattr(mod, name, counted)
+    assert verify_abc_second(fs).verdict == "HOLDS"
+    assert verify_basic_abc(fs[0], fs[1]).verdict == "HOLDS"
+    assert degrees and max(degrees) <= top
 
 
 def test_second_runs_each_analysis_once(monkeypatch):
@@ -637,3 +666,29 @@ def test_one_subset_walk_per_verification(monkeypatch, verify):
     rep = verify(fs)
     assert rep.verdict == "HOLDS" and len(rep.blocks) == 1 and rep.certificates
     assert calls == [3]
+
+
+@pytest.mark.parametrize("code, seed", [("q2", 5), ("f3", 2), ("f2t", 2), ("f3t", 1)])
+def test_second_product_objects_match_the_product_on_shared_factors(code, seed):
+    # k-wise corpora share factors between the f_j, so F's decomposition is
+    # refined from theirs; the truncation and square-free degrees must be
+    # those of F = prod f_j itself
+    from polyabc.radicals import square_free_part, trunc_gcd
+
+    spec = field_spec_from_code(code)
+    checked = 0
+    for inst in generate_corpus(CorpusSpec(seed=seed, count=4, field=spec, m=2, n=3,
+                                           degree_bound=4, coprimality="kwise")):
+        fs = inst.polys
+        rep = verify_abc_second(fs)
+        if "squarefree_corollary" not in rep.degree_checks:
+            continue
+        F = fs[0] * fs[1] * fs[2] * fs[3]
+        assert (f"product_truncation_degree={trunc_gcd(F, rep.constants['a_bar']).total_degree()}"
+                in rep.notes)
+        big_a = next(int(note.split("=")[1]) for note in rep.notes
+                     if note.startswith("squarefree_corollary_bound="))
+        assert (rep.degree_checks["squarefree_corollary"]["rhs"]
+                == big_a * (square_free_part(F).total_degree() - 1))
+        checked += 1
+    assert checked >= 2

@@ -4,13 +4,15 @@ from math import comb
 import pytest
 
 from polyabc.errors import CasError
-from polyabc.hasse import (d_axis, exponents_divisible, frobenius_power, hasse_derivative,
-                           is_in_E_ps, multinomial, partial_derivative, poly_pth_root)
-from polyabc.mvpoly import MvPoly, divides, multiplicity
+from polyabc.hasse import (exponents_divisible, hasse_derivative, is_in_E_ps, multinomial,
+                           partial_derivative, poly_pth_root)
+from polyabc.mvpoly import MvPoly
+from polyabc.oracle import divides, multiplicity
 from polyabc.nevanlinna import norm_profile
 
 from conftest import (ALL_SPECS, CHARP_SPECS, F2, F3, F3T, F5, Q2, Q5,
                       random_gamma, random_poly)
+from helpers import d_axis, frobenius_power
 
 
 def test_multinomial_examples():

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 
 from polyabc.errors import CasError, NotDivisible
-from polyabc.mvpoly import MvPoly, divides, exact_div, multiplicity, poly_from_text, poly_gcd
+from polyabc.mvpoly import MvPoly, exact_div, poly_gcd
+from polyabc.oracle import divides, multiplicity
 from polyabc.oracle import squarefree_factor_oracle
 
 from conftest import ALL_SPECS, F2, F3, F3T, F5, Q2, Q3, property_polys, random_poly
+from helpers import poly_from_text
 
 
 def _z(spec, m=1, i=0):

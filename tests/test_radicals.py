@@ -2,16 +2,19 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyabc.errors import CasError
+from polyabc.fields import RATFUNC_T_ADIC
 from polyabc.hasse import partial_derivative
-from polyabc.mvpoly import MvPoly, divides, multiplicity, poly_gcd
-from polyabc.oracle import squarefree_factor_oracle
-from polyabc.radicals import (higher_radical, radical, radical_chain, sigma_radical_gcd,
-                              square_free_decomposition, square_free_part,
-                              stable_radical_level, trunc_gcd)
+from polyabc.mvpoly import MvPoly, poly_gcd
+from polyabc.oracle import divides, multiplicity, squarefree_factor_oracle
+from polyabc.radicals import _product as parts_product
+from polyabc.radicals import (higher_radical, product_decomposition, radical,
+                              radical_chain, sigma_radical_gcd, square_free_decomposition,
+                              square_free_part, stable_radical_level, trunc_gcd)
 
-from conftest import F2, F3, F3T, F5, Q2, Q3, property_polys, random_poly
+from conftest import F2, F2T, F3, F3T, F5, Q2, Q3, property_polys, random_poly
 
 
 def _z(spec, m=1, i=0):
@@ -364,3 +367,113 @@ def test_square_free_decomposition_matches_oracle():
                 assert dict(parts) == groups
                 checked += 1
         assert checked >= 8, spec
+
+
+# -- the decomposition of a product, read off its factors ----------------------
+
+PRODUCT_SPECS = [Q2, F2, F3, F5, F2T, F3T]
+
+
+@st.composite
+def _factor_tuples(draw):
+    """(fs, planted): 2 or 3 functions, each a product of powers of one shared
+    pool of polynomials in m <= 2 variables, with deg prod fs <= 10, so the
+    functions share factors, repeat or are constant; over F_p(t) the pool may
+    hold the inseparable irreducible z1^p - t, and planted says whether a
+    function took it."""
+    pool = [f if not f.is_zero() else MvPoly.one(f.spec, f.m)
+            for f in draw(property_polys(PRODUCT_SPECS, 3))]
+    spec, m = pool[0].spec, pool[0].m
+    insep = spec.kind == RATFUNC_T_ADIC and draw(st.booleans())
+    if insep:
+        z, t = _z(spec, m), MvPoly.constant(spec, m, spec.t())
+        pool[0] = z ** spec.p - t
+    budget = 10
+    fs = []
+    exps = draw(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
+                         min_size=2, max_size=3))
+    planted = False
+    for row in exps:
+        f = MvPoly.one(spec, m)
+        for j, (g, e) in enumerate(zip(pool, row)):
+            e = min(e, budget // max(g.total_degree(), 1))
+            budget -= e * g.total_degree()
+            f = f * g ** e
+            planted |= insep and j == 0 and e > 0
+        fs.append(f * _c(spec, draw(st.integers(1, spec.p - 1)), m))
+    return fs, planted
+
+
+def _full_product(fs):
+    F = fs[0]
+    for f in fs[1:]:
+        F = F * f
+    return F
+
+
+def _decompose(compute):
+    try:
+        return compute(), None
+    except CasError as exc:
+        return None, exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_tuples())
+def test_property_product_decomposition_matches_product(case):
+    # the parts merged from the f_j give every radical object of F = prod f_j
+    # that F's own decomposition gives, and raise where it raises: at full
+    # depth, exactly when an inseparable irreducible factor is present
+    fs, planted = case
+    F = _full_product(fs)
+    want, want_err = _decompose(lambda: square_free_decomposition(F, stable_radical_level(F)))
+    got, got_err = _decompose(lambda: product_decomposition(fs))
+    assert got_err == want_err
+    if planted:
+        assert got_err == "NOT_A_POWER"
+    if got_err:
+        return
+    for mu, b in got:
+        assert not b.is_constant() and b == b.normalized() and radical(b) == b
+    for cap in (1, 2, 3, 5):
+        assert parts_product(F, got, cap) == parts_product(F, want, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factor_tuples())
+def test_property_coprime_path_is_the_general_path(case):
+    # on pairwise coprime functions nothing splits, so concatenating the
+    # parts gives the general path's tuple itself
+    fs, _ = case
+    assume(all(poly_gcd(f, g).is_constant() for i, f in enumerate(fs) for g in fs[i + 1:]))
+    got, err = _decompose(lambda: product_decomposition(fs))
+    assert _decompose(lambda: product_decomposition(fs, coprime=True)) == (got, err)
+
+
+def test_product_decomposition_splits_shared_factors():
+    z, one = _z(F3), MvPoly.one(F3, 1)
+    a, b, c = z, z + one, z + _c(F3, 2)
+    fs = [a ** 2 * b, b ** 3 * c, _c(F3, 2), a * c]
+    assert product_decomposition(fs) == ((2, c), (3, a), (4, b))
+    assert product_decomposition([a * b, a * b]) == ((2, (a * b).normalized()),)
+
+
+@pytest.mark.parametrize("spec", [Q2, F2, F3, F2T, F3T])
+def test_radical_of_coprime_triple_is_the_product_of_radicals(spec):
+    # f -> f / gcd(f, grad f) is multiplicative over coprime factors, also
+    # over an inseparable irreducible factor such as z^p - t, whose partial
+    # derivatives vanish
+    rng = random.Random(f"basic-radical-{spec.kind}-{spec.p}")
+    z = _z(spec, 2)
+    insep = z ** spec.p - MvPoly.constant(spec, 2, spec.t()) if spec.kind == RATFUNC_T_ADIC else z
+    checked = 0
+    for _ in range(20):
+        f0 = insep * random_poly(rng, spec, 2, 1, max_terms=3, nonzero=True)
+        f1 = random_poly(rng, spec, 2, 1, max_terms=3, nonzero=True) ** rng.randint(1, 2)
+        f2 = f0 + f1
+        if f2.is_zero() or not poly_gcd(f0, f1).is_constant():
+            continue
+        expected = (radical(f0) * radical(f1) * radical(f2)).normalized()
+        assert radical(f0 * f1 * f2) == expected
+        checked += 1
+    assert checked >= 6

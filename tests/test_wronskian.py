@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from polyabc.errors import CasError, SearchExhausted
-from polyabc.mvpoly import MvPoly, multiplicity
+from polyabc.mvpoly import MvPoly
+from polyabc.oracle import multiplicity
 from polyabc.wronskian import (bareiss_det, collection_independence_index, f_independent,
                                f_rank, find_certificate, gen_wronskian, index_of_independence,
                                poly_matrix_rank)
@@ -256,7 +257,7 @@ def test_f_rank():
 
 
 def test_charp_multivariate_certificates_with_power_structure():
-    from polyabc.hasse import frobenius_power
+    from helpers import frobenius_power
     from polyabc.wronskian import independent_over_power_subfield
 
     rng = random.Random("mvcert")
