@@ -9,10 +9,17 @@ Three field kinds are supported:
 All absolute values are handled on a log-base-p scale, so every comparison
 the rest of the package makes is an exact comparison of ``Fraction`` values.
 ``a.log_abs()`` returns log_p|a| as a ``Fraction`` and ``NEG_INFINITY`` for 0.
+
+Arithmetic runs through one ``Ring`` per field, built once with its
+``FieldSpec`` (``spec.ring``): functions on raw payloads -- ``Fraction``, an
+int in [0, p), or a canonical (numerator, denominator) pair over F_p[t] --
+chosen once, so no coefficient operation dispatches on the field kind.
+``Coeff`` boxes one payload; ``MvPoly`` runs its loops on the payloads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +30,14 @@ PRIME_FIELD = "prime_field"
 RATFUNC_T_ADIC = "ratfunc_t_adic"
 
 FIELD_KINDS = (RATIONAL_P_ADIC, PRIME_FIELD, RATFUNC_T_ADIC)
+
+MAX_LOAD_DEGREE = 1000  # degree of a loaded polynomial, in the z's or in t: dense paths allocate degree + 1 slots
+
+
+def guard_load_degree(what: str, degree: int):
+    """The one bound on the degrees of a loaded polynomial."""
+    if degree > MAX_LOAD_DEGREE:
+        raise CasError("DEGREE_TOO_LARGE", f"{what} {degree} exceeds the limit of {MAX_LOAD_DEGREE}")
 
 
 class _NegInfinity:
@@ -77,7 +92,9 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Which coefficient field the computation runs in."""
+    """Which coefficient field the computation runs in.  ``ring`` is its
+    ``Ring``, built here once; it is not a field of the dataclass, so it stays
+    out of equality, hashing and text."""
 
     kind: str
     p: int
@@ -87,16 +104,17 @@ class FieldSpec:
             raise CasError("VALIDATION_ERROR", f"unknown field kind {self.kind!r}")
         if not is_prime(self.p):
             raise CasError("VALIDATION_ERROR", f"p = {self.p} is not prime")
+        object.__setattr__(self, "ring", Ring(self.kind, self.p))
 
     @property
     def characteristic(self) -> int:
         return 0 if self.kind == RATIONAL_P_ADIC else self.p
 
     def zero(self) -> "Coeff":
-        return Coeff(self, _zero_payload(self))
+        return Coeff(self, self.ring.zero)
 
     def one(self) -> "Coeff":
-        return self.from_int(1)
+        return Coeff(self, self.ring.one)
 
     def from_int(self, k: int) -> "Coeff":
         if self.kind == RATIONAL_P_ADIC:
@@ -126,14 +144,6 @@ class FieldSpec:
         if self.kind == PRIME_FIELD:
             return f"F_{self.p}"
         return f"F_{self.p}(t)"
-
-
-def _zero_payload(spec: FieldSpec):
-    if spec.kind == RATIONAL_P_ADIC:
-        return Fraction(0)
-    if spec.kind == PRIME_FIELD:
-        return 0
-    return ((), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +275,7 @@ def _fpt_parse(text: str, p: int):
                     raise ParseError(f"bad factor {factor!r}")
             else:
                 c *= int(factor)
+        guard_load_degree("t-degree", e)
         coeffs[e] = (coeffs.get(e, 0) + sign * c) % p
     if not coeffs:
         return ()
@@ -291,6 +302,58 @@ def _ratfunc_canonical(num, den, p):
     return (num, den)
 
 
+class Ring:
+    """Arithmetic on the raw payloads of one field, chosen once per field.
+
+    ``add``, ``sub``, ``neg``, ``mul`` and ``div`` (by a nonzero payload) take
+    and return canonical payloads; ``is_zero`` tests one; ``zero`` and ``one``
+    are the payloads of 0 and 1.  Over F_p(t), sums and products of two
+    polynomials (denominator 1) are canonical as they stand and skip
+    ``_ratfunc_canonical``.
+    """
+
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero")
+
+    def __init__(self, kind: str, p: int):
+        self.is_zero = operator.not_
+        if kind == RATIONAL_P_ADIC:
+            self.zero, self.one = Fraction(0), Fraction(1)
+            self.add, self.sub, self.neg = operator.add, operator.sub, operator.neg
+            self.mul, self.div = operator.mul, operator.truediv
+        elif kind == PRIME_FIELD:
+            self.zero, self.one = 0, 1
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+            self.div = lambda a, b: a * pow(b, p - 2, p) % p
+        else:
+            one = (1,)
+            self.zero, self.one = ((), one), ((1,), one)
+
+            def add(a, b):
+                (n1, d1), (n2, d2) = a, b
+                if d1 == one == d2:
+                    return _fpt_add(n1, n2, p), one
+                num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
+                return _ratfunc_canonical(num, _fpt_mul(d1, d2, p), p)
+
+            def mul(a, b):
+                (n1, d1), (n2, d2) = a, b
+                if d1 == one == d2:
+                    return _fpt_mul(n1, n2, p), one
+                return _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), p)
+
+            def div(a, b):
+                (n1, d1), (n2, d2) = a, b
+                return _ratfunc_canonical(_fpt_mul(n1, d2, p), _fpt_mul(d1, n2, p), p)
+
+            self.add, self.mul, self.div = add, mul, div
+            self.neg = lambda a: (_fpt_neg(a[0], p), a[1])
+            self.sub = lambda a, b: add(a, (_fpt_neg(b[0], p), b[1]))
+            self.is_zero = lambda a: not a[0]
+
+
 # ---------------------------------------------------------------------------
 
 class Coeff:
@@ -307,25 +370,13 @@ class Coeff:
         self.spec = spec
         self.val = val
 
-    # -- predicates ---------------------------------------------------------
+    # -- predicates and arithmetic, through the field's Ring ----------------
 
     def is_zero(self) -> bool:
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            return self.val == 0
-        if k == RATIONAL_P_ADIC:
-            return self.val == 0
-        return not self.val[0]
+        return self.spec.ring.is_zero(self.val)
 
     def is_one(self) -> bool:
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            return self.val == 1
-        if k == RATIONAL_P_ADIC:
-            return self.val == 1
-        return self.val == ((1,), (1,))
-
-    # -- arithmetic ----------------------------------------------------------
+        return self.val == self.spec.ring.one
 
     def _check(self, other: "Coeff"):
         # one parsed instance shares one spec object; == only for distinct copies
@@ -334,52 +385,24 @@ class Coeff:
 
     def __add__(self, other: "Coeff") -> "Coeff":
         self._check(other)
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            return Coeff(self.spec, (self.val + other.val) % self.spec.p)
-        if k == RATIONAL_P_ADIC:
-            return Coeff(self.spec, self.val + other.val)
-        p = self.spec.p
-        (n1, d1), (n2, d2) = self.val, other.val
-        num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
-        return Coeff(self.spec, _ratfunc_canonical(num, _fpt_mul(d1, d2, p), p))
+        return Coeff(self.spec, self.spec.ring.add(self.val, other.val))
 
     def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
+        self._check(other)
+        return Coeff(self.spec, self.spec.ring.sub(self.val, other.val))
 
     def __neg__(self) -> "Coeff":
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            return Coeff(self.spec, (-self.val) % self.spec.p)
-        if k == RATIONAL_P_ADIC:
-            return Coeff(self.spec, -self.val)
-        n, d = self.val
-        return Coeff(self.spec, (_fpt_neg(n, self.spec.p), d))
+        return Coeff(self.spec, self.spec.ring.neg(self.val))
 
     def __mul__(self, other: "Coeff") -> "Coeff":
         self._check(other)
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            return Coeff(self.spec, (self.val * other.val) % self.spec.p)
-        if k == RATIONAL_P_ADIC:
-            return Coeff(self.spec, self.val * other.val)
-        p = self.spec.p
-        (n1, d1), (n2, d2) = self.val, other.val
-        return Coeff(self.spec, _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), p))
+        return Coeff(self.spec, self.spec.ring.mul(self.val, other.val))
 
     def __truediv__(self, other: "Coeff") -> "Coeff":
         self._check(other)
         if other.is_zero():
             raise CasError("DIVISION_BY_ZERO", "division by zero coefficient")
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            inv = pow(other.val, self.spec.p - 2, self.spec.p)
-            return Coeff(self.spec, (self.val * inv) % self.spec.p)
-        if k == RATIONAL_P_ADIC:
-            return Coeff(self.spec, self.val / other.val)
-        p = self.spec.p
-        (n1, d1), (n2, d2) = self.val, other.val
-        return Coeff(self.spec, _ratfunc_canonical(_fpt_mul(n1, d2, p), _fpt_mul(d1, n2, p), p))
+        return Coeff(self.spec, self.spec.ring.div(self.val, other.val))
 
     def inverse(self) -> "Coeff":
         return self.spec.one() / self

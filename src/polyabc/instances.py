@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import CasError, ParseError
 from .fields import (FIELD_KINDS, PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC,
-                     FieldSpec, parse_coeff)
+                     FieldSpec, guard_load_degree, parse_coeff)
 from .mvpoly import MvPoly, poly_gcd
 
 FIELD_CODES = {
@@ -29,7 +29,6 @@ FIELD_CODES = {
 
 MAX_POLYS = 13     # functions per tuple: the engine's subset searches are exhaustive
 MAX_DEGREE = 10    # degree bound of generated corpora
-MAX_LOAD_DEGREE = 1000  # total degree of a loaded polynomial: dense paths allocate degree + 1 slots
 KWISE_K = 3        # kwise corpora: each shared factor divides k - 1 functions
 
 
@@ -118,9 +117,7 @@ def instance_from_dict(doc: dict) -> Instance:
     guard_poly_count(len(doc["polys"]))
     polys = [structured_to_poly(spec, m, pd) for pd in doc["polys"]]
     for f in polys:
-        if f.total_degree() > MAX_LOAD_DEGREE:
-            raise CasError("DEGREE_TOO_LARGE",
-                           f"total degree {f.total_degree()} exceeds the limit of {MAX_LOAD_DEGREE}")
+        guard_load_degree("total degree", f.total_degree())
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise CasError("VALIDATION_ERROR", "params must be an object")

@@ -2,7 +2,10 @@
 
 Terms live in a dict mapping exponent tuples to nonzero coefficients; the
 canonical term order everywhere (leading terms, serialization) is graded
-lexicographic, descending.  gcd works by recursive content / primitive-part
+lexicographic, descending.  ``+``, ``-``, ``*``, ``scale`` and ``exact_div``
+run their loops on raw coefficient payloads through the field's ``Ring``
+(``spec.ring``), binding its functions once per call, and box to ``Coeff``
+only the terms they store.  gcd works by recursive content / primitive-part
 reduction with a subresultant remainder sequence in the highest present
 variable, with a plain Euclid fast path when only one variable occurs.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add as _plus, sub as _minus
 
 from .errors import CasError, NotDivisible
 from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, _fpt_gcd
@@ -115,51 +119,59 @@ class MvPoly:
         if (self.spec is not other.spec and self.spec != other.spec) or self.m != other.m:
             raise CasError("SPEC_MISMATCH", "mixed polynomial rings")
 
-    # -- ring operations ---------------------------------------------------------
+    # -- ring operations, on payloads ---------------------------------------------
 
-    def __add__(self, other: "MvPoly") -> "MvPoly":
+    def _combine(self, other: "MvPoly", op, negate) -> "MvPoly":
+        """self + other with op = ring.add; self - other with ring.sub and ring.neg."""
         self._check(other)
+        spec = self.spec
+        is_zero = spec.ring.is_zero
         out = dict(self.terms)
         for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero():
+            x = out.get(e)
+            if x is None:
+                out[e] = Coeff(spec, negate(c.val)) if negate else c
+            else:
+                s = op(x.val, c.val)
+                if is_zero(s):
                     del out[e]
                 else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return MvPoly(self.spec, self.m, out)
+                    out[e] = Coeff(spec, s)
+        return MvPoly(spec, self.m, out)
 
-    def __neg__(self) -> "MvPoly":
-        return MvPoly(self.spec, self.m, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other: "MvPoly") -> "MvPoly":
+        return self._combine(other, self.spec.ring.add, None)
 
     def __sub__(self, other: "MvPoly") -> "MvPoly":
-        return self + (-other)
+        return self._combine(other, self.spec.ring.sub, self.spec.ring.neg)
+
+    def __neg__(self) -> "MvPoly":
+        spec, neg = self.spec, self.spec.ring.neg
+        return MvPoly(spec, self.m, {e: Coeff(spec, neg(c.val)) for e, c in self.terms.items()})
 
     def __mul__(self, other: "MvPoly") -> "MvPoly":
         self._check(other)
-        if not self.terms or not other.terms:
-            return MvPoly.zero(self.spec, self.m)
-        out: dict = {}
+        spec = self.spec
+        add, mul, is_zero = spec.ring.add, spec.ring.mul, spec.ring.is_zero
+        right = [(e, c.val) for e, c in other.terms.items()]
+        acc: dict = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in out:
-                    s = out[e] + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not c.is_zero():
-                    out[e] = c
-        return MvPoly(self.spec, self.m, out)
+            v1 = c1.val
+            for e2, v2 in right:
+                e = tuple(map(_plus, e1, e2))
+                c = mul(v1, v2)  # nonzero: a field has no zero divisors
+                x = get(e)
+                acc[e] = c if x is None else add(x, c)
+        return MvPoly(spec, self.m, {e: Coeff(spec, v) for e, v in acc.items() if not is_zero(v)})
 
     def scale(self, c: Coeff) -> "MvPoly":
+        if c.spec is not self.spec and c.spec != self.spec:
+            raise CasError("SPEC_MISMATCH", "mixed coefficient fields")
         if c.is_zero():
             return MvPoly.zero(self.spec, self.m)
-        return MvPoly(self.spec, self.m, {e: x * c for e, x in self.terms.items()})
+        spec, mul, v = self.spec, self.spec.ring.mul, c.val
+        return MvPoly(spec, self.m, {e: Coeff(spec, mul(x.val, v)) for e, x in self.terms.items()})
 
     def __pow__(self, n: int) -> "MvPoly":
         if n < 0:
@@ -224,27 +236,33 @@ def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
         return MvPoly.zero(f.spec, f.m)
     if g.is_constant():
         return f.scale(g.constant_coeff().inverse())
+    spec = f.spec
+    ring = spec.ring
+    sub, neg, mul, is_zero = ring.sub, ring.neg, ring.mul, ring.is_zero
     g_lead = g.leading_monomial()
-    g_lc = g.terms[g_lead]
-    rem = dict(f.terms)
+    g_lc = g.terms[g_lead].val
+    g_items = [(e, c.val) for e, c in g.terms.items()]
+    rem = {e: c.val for e, c in f.terms.items()}
     quo: dict = {}
-    g_items = list(g.terms.items())
     while rem:
         e = max(rem, key=grlex_key)
-        diff = tuple(a - b for a, b in zip(e, g_lead))
-        if any(d < 0 for d in diff):
+        diff = tuple(map(_minus, e, g_lead))
+        if min(diff) < 0:
             raise NotDivisible(f"remainder has leading monomial {e}")
-        q = rem[e] / g_lc
-        quo[diff] = q
-        for ge, gc in g_items:
-            ee = tuple(a + b for a, b in zip(diff, ge))
+        q = ring.div(rem[e], g_lc)
+        quo[diff] = Coeff(spec, q)
+        for ge, gv in g_items:
+            ee = tuple(map(_plus, diff, ge))
             c = rem.get(ee)
-            s = (c - q * gc) if c is not None else -(q * gc)
-            if s.is_zero():
-                rem.pop(ee, None)
+            if c is None:
+                rem[ee] = neg(mul(q, gv))
             else:
-                rem[ee] = s
-    return MvPoly(f.spec, f.m, quo)
+                s = sub(c, mul(q, gv))
+                if is_zero(s):
+                    del rem[ee]
+                else:
+                    rem[ee] = s
+    return MvPoly(spec, f.m, quo)
 
 
 # ---------------------------------------------------------------------------

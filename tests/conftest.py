@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from polyabc.fields import (PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, FieldSpec)
+from polyabc.fields import PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, FieldSpec, _fpt_gcd
 from polyabc.mvpoly import MvPoly
 
 Q2 = FieldSpec(RATIONAL_P_ADIC, 2)
@@ -28,8 +29,6 @@ def random_coeff(rng: random.Random, spec: FieldSpec, nonzero=False):
         den = rng.choice([1, 1, 1, 2, 3, spec.p, spec.p * spec.p])
         if nonzero and num == 0:
             num = rng.randint(1, 20)
-        from fractions import Fraction
-
         return spec.from_fraction(Fraction(num, den))
     deg = rng.randint(0, 2)
     num = [rng.randrange(spec.p) for _ in range(deg + 1)]
@@ -67,7 +66,7 @@ def random_gamma(rng: random.Random, m: int, max_weight: int):
     return tuple(exps)
 
 
-def _property_coeff(spec: FieldSpec):
+def property_coeff(spec: FieldSpec):
     """Small coefficients: fractions over Q_p, residues over F_p, and
     (a + b t) / d with d in {1, t, 1 + t} over F_p(t)."""
     if spec.kind == RATIONAL_P_ADIC:
@@ -80,13 +79,32 @@ def _property_coeff(spec: FieldSpec):
                      st.integers(0, spec.p - 1), st.integers(0, spec.p - 1), st.integers(0, 2))
 
 
+def assert_canonical(spec: FieldSpec, val):
+    """A payload is canonical: a Fraction over Q_p; an int in [0, p) over
+    F_p; over F_p(t), coefficient tuples in [0, p) without trailing zeros, a
+    monic denominator coprime to the numerator, and ((), (1,)) for zero."""
+    p = spec.p
+    if spec.kind == RATIONAL_P_ADIC:
+        assert type(val) is Fraction
+        return
+    if spec.kind == PRIME_FIELD:
+        assert type(val) is int and 0 <= val < p
+        return
+    num, den = val
+    for poly in (num, den):
+        assert type(poly) is tuple and all(type(x) is int and 0 <= x < p for x in poly)
+        assert not poly or poly[-1]
+    assert den and den[-1] == 1
+    assert _fpt_gcd(num, den, p) == (1,) if num else den == (1,)
+
+
 @st.composite
 def property_polys(draw, specs, count: int):
     """``count`` polynomials over one field drawn from ``specs``, in m <= 2
     variables, each with at most 3 terms of partial degree <= 2."""
     spec = draw(st.sampled_from(specs))
     m = draw(st.integers(1, 2))
-    term = st.tuples(st.tuples(*[st.integers(0, 2)] * m), _property_coeff(spec))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * m), property_coeff(spec))
     return [MvPoly.from_terms(spec, m, draw(st.lists(term, max_size=3))) for _ in range(count)]
 
 

@@ -1,18 +1,21 @@
 """Polynomial helpers that only the tests use: order-k Hasse derivatives
-along one axis, Frobenius powers, the Gauss norm at one radius, and a parser
-for the text form that ``MvPoly.__str__`` prints.
+along one axis, Frobenius powers, the Gauss norm at one radius, a parser
+for the text form that ``MvPoly.__str__`` prints, and term-by-term ``Coeff``
+loops for +, -, * and exact division, the reference for ``MvPoly``'s
+payload kernels.
 
     from helpers import d_axis, frobenius_power, log_gauss_norm, poly_from_text
+    from helpers import ref_add, ref_exact_div, ref_mul, ref_sub
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from polyabc.errors import CasError, ParseError
+from polyabc.errors import CasError, NotDivisible, ParseError
 from polyabc.fields import NEG_INFINITY, Coeff, FieldSpec, parse_coeff
 from polyabc.hasse import hasse_derivative
-from polyabc.mvpoly import MvPoly
+from polyabc.mvpoly import MvPoly, grlex_key
 
 
 def d_axis(f: MvPoly, j: int, k: int) -> MvPoly:
@@ -101,3 +104,68 @@ def poly_from_text(spec: FieldSpec, m: int, text: str) -> MvPoly:
             coeff = spec.one()
         pairs.append((tuple(exps), coeff))
     return MvPoly.from_terms(spec, m, pairs)
+
+
+# ---------------------------------------------------------------------------
+# boxed reference loops: one Coeff operation per coefficient step
+
+def ref_add(f: MvPoly, g: MvPoly) -> MvPoly:
+    f._check(g)
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        if e in out:
+            s = out[e] + c
+            if s.is_zero():
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
+    return MvPoly(f.spec, f.m, out)
+
+
+def ref_sub(f: MvPoly, g: MvPoly) -> MvPoly:
+    return ref_add(f, MvPoly(g.spec, g.m, {e: -c for e, c in g.terms.items()}))
+
+
+def ref_mul(f: MvPoly, g: MvPoly) -> MvPoly:
+    f._check(g)
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            if e in out:
+                s = out[e] + c
+                if s.is_zero():
+                    del out[e]
+                else:
+                    out[e] = s
+            elif not c.is_zero():
+                out[e] = c
+    return MvPoly(f.spec, f.m, out)
+
+
+def ref_exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
+    """f/g by the graded-lex division loop, for a nonzero g."""
+    f._check(g)
+    g_lead = g.leading_monomial()
+    g_lc = g.terms[g_lead]
+    rem = dict(f.terms)
+    quo: dict = {}
+    while rem:
+        e = max(rem, key=grlex_key)
+        diff = tuple(a - b for a, b in zip(e, g_lead))
+        if any(d < 0 for d in diff):
+            raise NotDivisible(f"remainder has leading monomial {e}")
+        q = rem[e] / g_lc
+        quo[diff] = q
+        for ge, gc in g.terms.items():
+            ee = tuple(a + b for a, b in zip(diff, ge))
+            c = rem.get(ee)
+            s = (c - q * gc) if c is not None else -(q * gc)
+            if s.is_zero():
+                rem.pop(ee, None)
+            else:
+                rem[ee] = s
+    return MvPoly(f.spec, f.m, quo)

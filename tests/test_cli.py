@@ -306,6 +306,22 @@ def test_degree_guard_at_load(tmp_path):
     assert code == 0
 
 
+def test_t_degree_guard_at_load(tmp_path):
+    # "t^99999999" once made the parser allocate a dense list of 10^8 slots
+    doc = {"id": "huge-t-degree", "field": {"kind": "ratfunc_t_adic", "p": 3}, "vars": ["z1"],
+           "polys": [[[[2], "t^99999999"], [[0], "1"]], [[[1], "1"]]], "params": {}}
+    path = tmp_path / "huge-t-degree.json"
+    path.write_text(json.dumps(doc))
+    for command in ("radical", "norm"):
+        code, out = _run([command, "--instance", str(path), "--format", "machine"])
+        assert code == 1
+        assert json.loads(out)["error"] == "DEGREE_TOO_LARGE"
+    doc["polys"][0][0][1] = "t^1000"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["norm", "--instance", str(path), "--format", "machine"])
+    assert code == 0
+
+
 @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "corpus-run"])
 def test_empty_polys_is_a_validation_error(tmp_path, command):
     doc = {"id": "no-polys", "field": {"kind": "prime_field", "p": 3}, "vars": ["z1"],

@@ -1,12 +1,17 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyabc.errors import CasError
-from polyabc.fields import NEG_INFINITY, FieldSpec, PRIME_FIELD, parse_coeff
+from polyabc.fields import (NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, FieldSpec, _fpt_add,
+                            _fpt_mul, _ratfunc_canonical, parse_coeff)
 
-from conftest import ALL_SPECS, F3T, F5, Q2, Q5, random_coeff
+from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q5, assert_canonical, property_coeff,
+                      random_coeff)
 
 
 def _p_valuation(n: int, p: int) -> int:
@@ -149,3 +154,68 @@ def test_pth_root_squares():
         a = random_coeff(rng, F3T)
         cube = a * a * a
         assert cube.pth_root(1) == a
+
+
+# -- the Ring of each field kind, on raw payloads ------------------------------
+
+_RING_SPECS = [Q2, F2, F3, F5, F2T, F3T]
+
+
+@st.composite
+def _ring_triples(draw):
+    """Three payloads of one field; products of two drawn coefficients reach
+    numerators and denominators of degree up to 2 over F_p(t)."""
+    spec = draw(st.sampled_from(_RING_SPECS))
+    coeff = property_coeff(spec)
+    vals = [(draw(coeff) * draw(coeff)).val if draw(st.booleans()) else draw(coeff).val
+            for _ in range(3)]
+    return spec, vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_triples())
+def test_property_ring_axioms_and_canonical_payloads(triple):
+    spec, (a, b, c) = triple
+    R = spec.ring
+    zero, one = R.zero, R.one
+    results = [R.add(a, b), R.sub(a, b), R.neg(a), R.mul(a, b), zero, one]
+    assert R.add(a, b) == R.add(b, a) and R.mul(a, b) == R.mul(b, a)
+    assert R.add(R.add(a, b), c) == R.add(a, R.add(b, c))
+    assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
+    assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
+    assert R.add(a, zero) == a and R.mul(a, one) == a
+    assert R.is_zero(R.add(a, R.neg(a))) and R.sub(a, b) == R.add(a, R.neg(b))
+    assert R.is_zero(zero) and not R.is_zero(one) and R.is_zero(a) == (a == zero)
+    if not R.is_zero(b):
+        assert R.mul(R.div(a, b), b) == a
+        results.append(R.div(a, b))
+    for val in results:
+        assert_canonical(spec, val)
+    if spec.kind == RATFUNC_T_ADIC:
+        # the shortcut for denominator 1 agrees with the general formula
+        p, (n1, d1), (n2, d2) = spec.p, a, b
+        num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
+        assert R.add(a, b) == _ratfunc_canonical(num, _fpt_mul(d1, d2, p), p)
+        assert R.mul(a, b) == _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), p)
+
+
+def test_ring_stays_out_of_spec_identity():
+    a, b = FieldSpec(RATFUNC_T_ADIC, 3), FieldSpec(RATFUNC_T_ADIC, 3)
+    assert a.ring is not b.ring and a == b and hash(a) == hash(b)
+    assert repr(a) == "FieldSpec(kind='ratfunc_t_adic', p=3)" and str(a) == "F_3(t)"
+
+
+def test_t_degree_guard_rejects_before_allocating():
+    # a dense list of 10^8 slots would take about 800 MB; the guard runs first
+    for text in ("t^99999999", "1 + t^600*t^500", "1/(t^1001 + 1)"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CasError) as exc:
+                parse_coeff(F3T, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "DEGREE_TOO_LARGE" and "t-degree" in str(exc.value)
+        assert peak < 1 << 20
+    num, den = parse_coeff(F3T, "t^1000 + 1").val
+    assert len(num) == 1001 and den == (1,)

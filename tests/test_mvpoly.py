@@ -8,8 +8,9 @@ from polyabc.mvpoly import MvPoly, exact_div, poly_gcd
 from polyabc.oracle import divides, multiplicity
 from polyabc.oracle import squarefree_factor_oracle
 
-from conftest import ALL_SPECS, F2, F3, F3T, F5, Q2, Q3, property_polys, random_poly
-from helpers import poly_from_text
+from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q3, assert_canonical, property_polys,
+                      random_poly)
+from helpers import poly_from_text, ref_add, ref_exact_div, ref_mul, ref_sub
 
 
 def _z(spec, m=1, i=0):
@@ -263,3 +264,59 @@ def test_property_gcd_of_common_multiples(fgh):
     d = poly_gcd(f * h, g * h)
     assert divides(d, f * h) and divides(d, g * h)
     assert divides(h, d)
+
+
+# -- payload kernels against the boxed reference loops, m <= 2 ------------------
+
+_KERNEL_SPECS = [Q2, F2, F3, F5, F2T, F3T]
+
+
+def _assert_canonical_terms(f):
+    for c in f.terms.values():
+        assert c.spec is f.spec and not c.is_zero()
+        assert_canonical(f.spec, c.val)
+
+
+@_property
+@given(property_polys(_KERNEL_SPECS, 2))
+def test_property_kernels_match_boxed_reference(fg):
+    f, g = fg
+    for got, want in ((f + g, ref_add(f, g)), (f - g, ref_sub(f, g)), (f * g, ref_mul(f, g)),
+                      (-f, ref_sub(MvPoly.zero(f.spec, f.m), f))):
+        assert got == want
+        _assert_canonical_terms(got)
+    assert f - f == MvPoly.zero(f.spec, f.m)
+
+
+@_property
+@given(property_polys(_KERNEL_SPECS, 3))
+def test_property_exact_div_matches_boxed_reference(fgh):
+    f, g, h = fgh
+    assume(not g.is_zero())
+    q = exact_div(f * g, g)
+    assert q == f and q == ref_exact_div(f * g, g)
+    _assert_canonical_terms(q)
+    # f*g + h: exact only when g divides h; the kernel and the reference agree
+    # on the quotient or on NotDivisible
+    outcomes = []
+    for div in (exact_div, ref_exact_div):
+        try:
+            outcomes.append(div(f * g + h, g))
+        except NotDivisible:
+            outcomes.append(NotDivisible)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_kernels_on_non_unit_denominators():
+    for spec in (F2T, F3T):
+        t, one = spec.t(), spec.one()
+        a = one / (t + one)                    # 1/(t+1)
+        b = (t * t + one) / (t * (t + one))
+        z1, z2 = _z(spec, 2, 0), _z(spec, 2, 1)
+        f = z1.scale(a) + z2.scale(b) + MvPoly.constant(spec, 2, t)
+        g = z1 * z2 + z1.scale(b) - MvPoly.constant(spec, 2, a)
+        assert f * g == ref_mul(f, g)
+        assert f + g == ref_add(f, g) and f - g == ref_sub(f, g)
+        assert exact_div(f * g, g) == f == ref_exact_div(f * g, g)
+        for c in (f * g).terms.values():
+            assert_canonical(spec, c.val)
