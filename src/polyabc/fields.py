@@ -146,6 +146,11 @@ class FieldSpec:
         return f"F_{self.p}(t)"
 
 
+def same_spec(a: FieldSpec, b: FieldSpec) -> bool:
+    # one parsed instance shares one spec object; == only for distinct copies
+    return a is b or a == b
+
+
 # ---------------------------------------------------------------------------
 # dense univariate arithmetic over F_p, used for the F_p(t) payloads
 # (tuples of ints in [0, p), ascending powers, no trailing zeros)
@@ -379,8 +384,7 @@ class Coeff:
         return self.val == self.spec.ring.one
 
     def _check(self, other: "Coeff"):
-        # one parsed instance shares one spec object; == only for distinct copies
-        if self.spec is not other.spec and self.spec != other.spec:
+        if not same_spec(self.spec, other.spec):
             raise CasError("SPEC_MISMATCH", "mixed coefficient fields")
 
     def __add__(self, other: "Coeff") -> "Coeff":

@@ -17,7 +17,7 @@ from math import gcd as int_gcd
 from operator import add as _plus, sub as _minus
 
 from .errors import CasError, NotDivisible
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, _fpt_gcd
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, _fpt_gcd, same_spec
 
 Monomial = tuple  # exponent tuples; total degree is sum of the entries
 
@@ -116,7 +116,7 @@ class MvPoly:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def _check(self, other: "MvPoly"):
-        if (self.spec is not other.spec and self.spec != other.spec) or self.m != other.m:
+        if not same_spec(self.spec, other.spec) or self.m != other.m:
             raise CasError("SPEC_MISMATCH", "mixed polynomial rings")
 
     # -- ring operations, on payloads ---------------------------------------------
@@ -124,8 +124,7 @@ class MvPoly:
     def _combine(self, other: "MvPoly", op, negate) -> "MvPoly":
         """self + other with op = ring.add; self - other with ring.sub and ring.neg."""
         self._check(other)
-        spec = self.spec
-        is_zero = spec.ring.is_zero
+        spec, is_zero = self.spec, self.spec.ring.is_zero
         out = dict(self.terms)
         for e, c in other.terms.items():
             x = out.get(e)
@@ -166,7 +165,7 @@ class MvPoly:
         return MvPoly(spec, self.m, {e: Coeff(spec, v) for e, v in acc.items() if not is_zero(v)})
 
     def scale(self, c: Coeff) -> "MvPoly":
-        if c.spec is not self.spec and c.spec != self.spec:
+        if not same_spec(c.spec, self.spec):
             raise CasError("SPEC_MISMATCH", "mixed coefficient fields")
         if c.is_zero():
             return MvPoly.zero(self.spec, self.m)
@@ -236,8 +235,7 @@ def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
         return MvPoly.zero(f.spec, f.m)
     if g.is_constant():
         return f.scale(g.constant_coeff().inverse())
-    spec = f.spec
-    ring = spec.ring
+    spec, ring = f.spec, f.spec.ring
     sub, neg, mul, is_zero = ring.sub, ring.neg, ring.mul, ring.is_zero
     g_lead = g.leading_monomial()
     g_lc = g.terms[g_lead].val

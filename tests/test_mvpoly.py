@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from polyabc.errors import CasError, NotDivisible
+from polyabc.fields import FieldSpec
 from polyabc.mvpoly import MvPoly, exact_div, poly_gcd
 from polyabc.oracle import divides, multiplicity
 from polyabc.oracle import squarefree_factor_oracle
@@ -197,6 +198,11 @@ def test_spec_mismatch_poly():
     with pytest.raises(CasError) as exc:
         _z(Q2) + _z(Q3)
     assert exc.value.code == "SPEC_MISMATCH"
+    with pytest.raises(CasError) as exc:
+        _z(Q2).scale(Q3.one())
+    assert exc.value.code == "SPEC_MISMATCH"
+    # an equal spec built separately is the same field
+    assert _z(Q2).scale(FieldSpec(Q2.kind, Q2.p).one()) == _z(Q2)
 
 
 def test_gcd_three_variables_planted():
