@@ -78,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=2)
             p.add_argument("--deg", type=int, default=4)
             p.add_argument("--mode", choices=("pairwise", "kwise", "none"), default="pairwise")
-            p.add_argument("--check", choices=("verify-basic", "verify-abc1", "verify-abc2", "corollaries"),
-                           default="verify-abc1")
+            p.add_argument("--check", choices=tuple(_CHECKS), default="verify-abc1")
     return parser
 
 
@@ -251,47 +250,27 @@ def _cmd_independence(args):
     return doc, 0
 
 
-def _cmd_verify_basic(args):
-    inst = _load_instance(args)
-    if len(inst.polys) < 2:
-        raise CasError("VALIDATION_ERROR", "verify-basic needs two polynomials")
-    rep = verify_basic_abc(inst.polys[0], inst.polys[1], rhos=_rhos_for(args, inst),
-                           instance_id=inst.instance_id)
-    return rep.as_dict(), rep.exit_code
-
-
-def _cmd_verify_abc1(args):
-    inst = _load_instance(args)
-    rep = verify_abc_first(inst.polys, rhos=_rhos_for(args, inst),
-                           instance_id=inst.instance_id)
-    return rep.as_dict(), rep.exit_code
-
-
-def _cmd_verify_abc2(args):
-    inst = _load_instance(args)
-    k = _int_param(args, inst, "k", "k")
-    rep = verify_abc_second(inst.polys, k=k,
-                            rhos=_rhos_for(args, inst), instance_id=inst.instance_id)
-    return rep.as_dict(), rep.exit_code
-
-
-def _cmd_corollaries(args):
-    inst = _load_instance(args)
-    rep = verify_corollaries(inst.polys, rhos=_rhos_for(args, inst),
-                             instance_id=inst.instance_id)
-    return rep.as_dict(), rep.exit_code
-
-
+# check -> verifier(polys, k, rhos=..., instance_id=...); only verify-abc2 reads k
 _CHECKS = {
-    "verify-basic": lambda inst, rhos: verify_basic_abc(
-        inst.polys[0], inst.polys[1], rhos=rhos, instance_id=inst.instance_id),
-    "verify-abc1": lambda inst, rhos: verify_abc_first(
-        inst.polys, rhos=rhos, instance_id=inst.instance_id),
-    "verify-abc2": lambda inst, rhos: verify_abc_second(
-        inst.polys, rhos=rhos, instance_id=inst.instance_id),
-    "corollaries": lambda inst, rhos: verify_corollaries(
-        inst.polys, rhos=rhos, instance_id=inst.instance_id),
+    "verify-basic": lambda polys, k, **kw: verify_basic_abc(polys[0], polys[1], **kw),
+    "verify-abc1": lambda polys, k, **kw: verify_abc_first(polys, **kw),
+    "verify-abc2": lambda polys, k, **kw: verify_abc_second(polys, k=k, **kw),
+    "corollaries": lambda polys, k, **kw: verify_corollaries(polys, **kw),
 }
+
+
+def _run_check(check, args, inst):
+    """The report of ``check`` on inst, with --k and --rho taking precedence
+    over the instance's params; the check commands and corpus-run share it."""
+    if check == "verify-basic" and len(inst.polys) < 2:
+        raise CasError("VALIDATION_ERROR", "verify-basic needs two polynomials")
+    k = _int_param(args, inst, "k", "k") if check == "verify-abc2" else None
+    return _CHECKS[check](inst.polys, k, rhos=_rhos_for(args, inst), instance_id=inst.instance_id)
+
+
+def _cmd_check(args):
+    rep = _run_check(args.command, args, _load_instance(args))
+    return rep.as_dict(), rep.exit_code
 
 
 def _cmd_corpus_run(args):
@@ -299,11 +278,10 @@ def _cmd_corpus_run(args):
                       field=field_spec_from_code(args.field), m=args.m, n=args.n,
                       degree_bound=args.deg, coprimality=args.mode)
     instances = generate_corpus(spec)
-    rhos = _rhos_for(args, None)
     reports = []
     worst = 0
     for inst in instances:
-        rep = _CHECKS[args.check](inst, rhos)
+        rep = _run_check(args.check, args, inst)
         reports.append({"instance": instance_to_dict(inst), "report": rep.as_dict()})
         worst = max(worst, rep.exit_code)
     doc = {"command": "corpus-run", "check": args.check,
@@ -317,9 +295,8 @@ def _cmd_corpus_run(args):
 _BODIES = {
     "norm": _cmd_norm, "counting": _cmd_counting, "radical": _cmd_radical,
     "sqfree": _cmd_sqfree, "hasse": _cmd_hasse, "wronskian": _cmd_wronskian,
-    "independence": _cmd_independence, "verify-basic": _cmd_verify_basic,
-    "verify-abc1": _cmd_verify_abc1, "verify-abc2": _cmd_verify_abc2,
-    "corollaries": _cmd_corollaries, "corpus-run": _cmd_corpus_run,
+    "independence": _cmd_independence, "corpus-run": _cmd_corpus_run,
+    **dict.fromkeys(_CHECKS, _cmd_check),
 }
 
 

@@ -15,6 +15,10 @@ Arithmetic runs through one ``Ring`` per field, built once with its
 int in [0, p), or a canonical (numerator, denominator) pair over F_p[t] --
 chosen once, so no coefficient operation dispatches on the field kind.
 ``Coeff`` boxes one payload; ``MvPoly`` runs its loops on the payloads.
+The Ring also owns the univariate gcd (``spec.ring.gcd``) on dense tuples of
+payloads: Euclid on one division loop, ``_dense_divmod``, for F_p and F_p(t)
+-- the same loop over F_p puts F_p(t) payloads in lowest terms -- and an
+integer primitive remainder sequence for Q.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as int_gcd
 
 from .errors import CasError, ParseError
 
@@ -152,8 +157,9 @@ def same_spec(a: FieldSpec, b: FieldSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate arithmetic over F_p, used for the F_p(t) payloads
-# (tuples of ints in [0, p), ascending powers, no trailing zeros)
+# dense univariate polynomials: tuples of payloads, ascending powers, no
+# trailing zeros.  The F_p[t] parts of F_p(t) payloads (ints in [0, p)) have
+# their own +, - and *; division and gcd run over any field Ring.
 
 def _fpt_trim(c: list) -> tuple:
     n = len(c)
@@ -184,35 +190,6 @@ def _fpt_mul(a, b, p):
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
     return _fpt_trim(out)
-
-
-def _fpt_divmod(a, b, p):
-    if not b:
-        raise CasError("DIVISION_BY_ZERO", "polynomial division by zero")
-    inv = pow(b[-1], p - 2, p)
-    rem = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return (), tuple(a)
-    quo = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k]
-        if c:
-            q = (c * inv) % p
-            quo[k - db] = q
-            for j in range(db + 1):
-                rem[k - db + j] = (rem[k - db + j] - q * b[j]) % p
-    return _fpt_trim(quo), _fpt_trim(rem)
-
-
-def _fpt_gcd(a, b, p):
-    while b:
-        _, r = _fpt_divmod(a, b, p)
-        a, b = b, r
-    if not a:
-        return ()
-    inv = pow(a[-1], p - 2, p)
-    return tuple((x * inv) % p for x in a)
 
 
 def _fpt_ord(a) -> int:
@@ -290,21 +267,116 @@ def _fpt_parse(text: str, p: int):
     return _fpt_trim(out)
 
 
-def _ratfunc_canonical(num, den, p):
+def _dense_trim(c: list, is_zero) -> tuple:
+    n = len(c)
+    while n and is_zero(c[n - 1]):
+        n -= 1
+    return tuple(c[:n])
+
+
+def _dense_scale(a, c, ring) -> tuple:
+    mul = ring.mul
+    return tuple(mul(x, c) for x in a)
+
+
+def _dense_divmod(a, b, ring):
+    """Quotient and remainder of the dense polynomials a by b over the field
+    of ``ring``."""
+    if not b:
+        raise CasError("DIVISION_BY_ZERO", "polynomial division by zero")
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), tuple(a)
+    sub, mul, is_zero = ring.sub, ring.mul, ring.is_zero
+    inv = ring.div(ring.one, b[-1])
+    rem = list(a)
+    quo = [ring.zero] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k]
+        if not is_zero(c):
+            o = k - db
+            q = quo[o] = mul(c, inv)
+            for j, y in enumerate(b, o):
+                rem[j] = sub(rem[j], mul(q, y))
+    # every slot from db up has been cancelled to zero
+    return _dense_trim(quo, is_zero), _dense_trim(rem[:db], is_zero)
+
+
+def _dense_gcd(a, b, ring) -> tuple:
+    """The monic gcd of dense polynomials over the field of ``ring``, by
+    Euclid; () when both are zero."""
+    while b:
+        a, b = b, _dense_divmod(a, b, ring)[1]
+    return _dense_scale(a, ring.div(ring.one, a[-1]), ring) if a else ()
+
+
+def _int_primitive(c):
+    g = 0
+    for x in c:
+        g = int_gcd(g, abs(x))
+    return [x // g for x in c] if g else []
+
+
+def _int_pseudo_rem(a, b):
+    """Remainder of a by b over the integers, up to content (stripped later)."""
+    db = len(b) - 1
+    lc = b[-1]
+    r = list(a)
+    while len(r) - 1 >= db and r:
+        dr = len(r) - 1
+        head = r[-1]
+        r = [x * lc for x in r]
+        for j in range(db + 1):
+            r[dr - db + j] -= head * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _q_gcd(a, b) -> tuple:
+    """The monic gcd of dense polynomials over Q, by an integer primitive
+    remainder sequence.  Euclid over Fraction values gives the same gcd but
+    its coefficients swell: it is about 2x slower at degree 5 and 170x at
+    degree 60 (see ROADMAP)."""
+    def to_int(c):
+        den = 1
+        for x in c:
+            den = den * x.denominator // int_gcd(den, x.denominator)
+        return _int_primitive([int(x * den) for x in c])
+
+    a, b = to_int(a), to_int(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _int_primitive(_int_pseudo_rem(a, b))
+    return tuple(Fraction(x, a[-1]) for x in a) if a else ()
+
+
+def _ratfunc_canonical(num, den, base):
+    """The F_p(t) payload num/den in lowest terms with monic denominator;
+    ``base`` is the Ring of F_p."""
     if not den:
         raise CasError("DIVISION_BY_ZERO", "zero denominator")
     if not num:
         return ((), (1,))
-    g = _fpt_gcd(num, den, p)
-    if len(g) > 1 or g[0] != 1:
-        num, _ = _fpt_divmod(num, g, p)
-        den, _ = _fpt_divmod(den, g, p)
-    lead = den[-1]
-    if lead != 1:
-        inv = pow(lead, p - 2, p)
-        num = tuple((x * inv) % p for x in num)
-        den = tuple((x * inv) % p for x in den)
+    g = _dense_gcd(num, den, base)
+    if g != (1,):
+        num = _dense_divmod(num, g, base)[0]
+        den = _dense_divmod(den, g, base)[0]
+    if den[-1] != 1:
+        inv = base.div(1, den[-1])
+        num, den = _dense_scale(num, inv, base), _dense_scale(den, inv, base)
     return (num, den)
+
+
+def clear_denominators(spec: FieldSpec, vals) -> list:
+    """The F_p(t) payloads ``vals`` over the lcm L of their denominators: the
+    F_p[t] numerators num * (L / den), one per payload."""
+    p, base = spec.p, spec.ring.base
+    den = (1,)
+    for _, d in vals:
+        den = _dense_divmod(_fpt_mul(den, d, p), _dense_gcd(den, d, base), base)[0]
+    return [_fpt_mul(n, _dense_divmod(den, d, base)[0], p) for n, d in vals]
 
 
 class Ring:
@@ -312,19 +384,25 @@ class Ring:
 
     ``add``, ``sub``, ``neg``, ``mul`` and ``div`` (by a nonzero payload) take
     and return canonical payloads; ``is_zero`` tests one; ``zero`` and ``one``
-    are the payloads of 0 and 1.  Over F_p(t), sums and products of two
-    polynomials (denominator 1) are canonical as they stand and skip
-    ``_ratfunc_canonical``.
+    are the payloads of 0 and 1.  ``gcd`` takes two dense polynomials (tuples
+    of payloads, ascending powers, no trailing zeros) and returns their monic
+    gcd: Euclid over the field for F_p and F_p(t), an integer primitive
+    remainder sequence over Q.  The F_p(t) ring keeps the Ring of F_p as
+    ``base`` for its numerators and denominators.  Over F_p(t), sums and
+    products of two polynomials (denominator 1) are canonical as they stand
+    and skip ``_ratfunc_canonical``.
     """
 
-    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero")
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero", "gcd", "base")
 
     def __init__(self, kind: str, p: int):
         self.is_zero = operator.not_
+        self.gcd = lambda a, b: _dense_gcd(a, b, self)
         if kind == RATIONAL_P_ADIC:
             self.zero, self.one = Fraction(0), Fraction(1)
             self.add, self.sub, self.neg = operator.add, operator.sub, operator.neg
             self.mul, self.div = operator.mul, operator.truediv
+            self.gcd = _q_gcd
         elif kind == PRIME_FIELD:
             self.zero, self.one = 0, 1
             self.add = lambda a, b: (a + b) % p
@@ -335,23 +413,24 @@ class Ring:
         else:
             one = (1,)
             self.zero, self.one = ((), one), ((1,), one)
+            base = self.base = Ring(PRIME_FIELD, p)
 
             def add(a, b):
                 (n1, d1), (n2, d2) = a, b
                 if d1 == one == d2:
                     return _fpt_add(n1, n2, p), one
                 num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
-                return _ratfunc_canonical(num, _fpt_mul(d1, d2, p), p)
+                return _ratfunc_canonical(num, _fpt_mul(d1, d2, p), base)
 
             def mul(a, b):
                 (n1, d1), (n2, d2) = a, b
                 if d1 == one == d2:
                     return _fpt_mul(n1, n2, p), one
-                return _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), p)
+                return _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), base)
 
             def div(a, b):
                 (n1, d1), (n2, d2) = a, b
-                return _ratfunc_canonical(_fpt_mul(n1, d2, p), _fpt_mul(d1, n2, p), p)
+                return _ratfunc_canonical(_fpt_mul(n1, d2, p), _fpt_mul(d1, n2, p), base)
 
             self.add, self.mul, self.div = add, mul, div
             self.neg = lambda a: (_fpt_neg(a[0], p), a[1])
@@ -523,6 +602,6 @@ def parse_coeff(spec: FieldSpec, text: str) -> Coeff:
             if den_s.startswith("(") and den_s.endswith(")"):
                 den_s = den_s[1:-1]
             den = _fpt_parse(den_s, spec.p)
-        return Coeff(spec, _ratfunc_canonical(num, den, spec.p))
+        return Coeff(spec, _ratfunc_canonical(num, den, spec.ring.base))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient {text!r}: {exc}") from exc

@@ -63,13 +63,8 @@ def hasse_derivative(f: MvPoly, gamma: Monomial) -> MvPoly:
         coef = multinomial(alpha, gamma, spec) * c
         if coef.is_zero():
             continue
-        e = tuple(a - g for a, g in zip(alpha, gamma))
-        if e in terms:
-            coef = terms[e] + coef
-        if coef.is_zero():
-            terms.pop(e, None)
-        else:
-            terms[e] = coef
+        # alpha -> alpha - gamma is injective: each exponent arises once
+        terms[tuple(a - g for a, g in zip(alpha, gamma))] = coef
     return MvPoly(spec, f.m, terms)
 
 

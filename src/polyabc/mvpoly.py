@@ -7,17 +7,16 @@ run their loops on raw coefficient payloads through the field's ``Ring``
 (``spec.ring``), binding its functions once per call, and box to ``Coeff``
 only the terms they store.  gcd works by recursive content / primitive-part
 reduction with a subresultant remainder sequence in the highest present
-variable, with a plain Euclid fast path when only one variable occurs.
+variable; when only one variable occurs it is the field Ring's univariate
+``gcd`` on dense payload tuples.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd
 from operator import add as _plus, sub as _minus
 
 from .errors import CasError, NotDivisible
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, _fpt_gcd, same_spec
+from .fields import Coeff, FieldSpec, same_spec
 
 Monomial = tuple  # exponent tuples; total degree is sum of the entries
 
@@ -274,112 +273,28 @@ def _present_vars(f: MvPoly, g: MvPoly):
     return out
 
 
-def _to_dense_univar(f: MvPoly, v: int):
-    out = [None] * (f.degree_in(v) + 1)
-    zero = f.spec.zero()
-    for e, c in f.terms.items():
-        out[e[v]] = c
-    return [c if c is not None else zero for c in out]
-
-
-def _fp_dense(f: MvPoly, v: int):
-    out = [0] * (f.degree_in(v) + 1)
+def _dense(f: MvPoly, v: int) -> tuple:
+    """f, in which only z_v occurs, as a dense tuple of payloads in z_v."""
+    out = [f.spec.ring.zero] * (f.degree_in(v) + 1)
     for e, c in f.terms.items():
         out[e[v]] = c.val
-    return out
+    return tuple(out)
 
 
-def _from_dense_univar(spec: FieldSpec, m: int, v: int, coeffs) -> MvPoly:
+def _from_dense(spec: FieldSpec, m: int, v: int, coeffs) -> MvPoly:
+    is_zero = spec.ring.is_zero
     terms = {}
     for i, c in enumerate(coeffs):
-        if isinstance(c, int):
-            c = Coeff(spec, c)
-        if not c.is_zero():
+        if not is_zero(c):
             e = [0] * m
             e[v] = i
-            terms[tuple(e)] = c
+            terms[tuple(e)] = Coeff(spec, c)
     return MvPoly(spec, m, terms)
-
-
-def _int_primitive(c):
-    g = 0
-    for x in c:
-        g = int_gcd(g, abs(x))
-    return [x // g for x in c] if g else []
-
-
-def _int_pseudo_rem(a, b):
-    """Remainder of a by b over the integers, up to content (stripped later)."""
-    db = len(b) - 1
-    lc = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db and r:
-        dr = len(r) - 1
-        head = r[-1]
-        r = [x * lc for x in r]
-        for j in range(db + 1):
-            r[dr - db + j] -= head * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _univar_gcd_q(a, b):
-    """Monic gcd of dense Fraction lists via an integer primitive PRS."""
-    def to_int(c):
-        den = 1
-        for x in c:
-            den = den * x.denominator // int_gcd(den, x.denominator)
-        return _int_primitive([int(x * den) for x in c])
-
-    a, b = to_int(a), to_int(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_primitive(_int_pseudo_rem(a, b))
-        a, b = b, r
-    if not a:
-        return []
-    return [Fraction(x, a[-1]) for x in a]
-
-
-def _univar_gcd_generic(a, b):
-    """Monic Euclid over the coefficient field (used for F_p(t))."""
-    def trim(c):
-        n = len(c)
-        while n and c[n - 1].is_zero():
-            n -= 1
-        return c[:n]
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = b[-1].inverse()
-        db = len(b) - 1
-        rem = list(a)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if not c.is_zero():
-                q = c * inv
-                for j in range(db + 1):
-                    rem[k - db + j] = rem[k - db + j] - q * b[j]
-        a, b = b, trim(rem)
-    if not a:
-        return []
-    inv = a[-1].inverse()
-    return [x * inv for x in a]
 
 
 def _gcd_single_var(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
     spec = f.spec
-    if spec.kind == PRIME_FIELD:
-        res = _fpt_gcd(_fp_dense(f, v), _fp_dense(g, v), spec.p)
-        return _from_dense_univar(spec, f.m, v, res)
-    if spec.kind == RATIONAL_P_ADIC:
-        res = _univar_gcd_q([c.val for c in _to_dense_univar(f, v)],
-                            [c.val for c in _to_dense_univar(g, v)])
-        return _from_dense_univar(spec, f.m, v, [spec.from_fraction(x) for x in res])
-    res = _univar_gcd_generic(_to_dense_univar(f, v), _to_dense_univar(g, v))
-    return _from_dense_univar(spec, f.m, v, res)
+    return _from_dense(spec, f.m, v, spec.ring.gcd(_dense(f, v), _dense(g, v)))
 
 
 def _split_main(f: MvPoly, v: int) -> dict:

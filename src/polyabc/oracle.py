@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import CasError, NotDivisible
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, clear_denominators
 from .mvpoly import MvPoly, exact_div, grlex_key
 
 DEFAULT_DEGREE_CAP = 8
@@ -196,22 +196,12 @@ def _factor_prime_field(f: MvPoly):
 
 def _factor_ratfunc(f: MvPoly):
     """Clear denominators into F_p[t, z...], factor, drop the t-only units."""
-    from .fields import _fpt_divmod, _fpt_gcd, _fpt_mul
-
     p = f.spec.p
     spec = f.spec
-    den = (1,)
-    for c in f.terms.values():
-        _, d = c.val
-        den = _fpt_divmod(_fpt_mul(den, d, p), _fpt_gcd(den, d, p), p)[0]
     # lifted polynomial in variables (t, z1..zm) with int coefficients
     lifted = {}
-    for e, c in f.terms.items():
-        n, d = c.val
-        scale, rem = _fpt_divmod(den, d, p)
-        if rem:
-            raise CasError("ORACLE_FAILURE", "denominator lcm failed")
-        num = _fpt_mul(n, scale, p)
+    nums = clear_denominators(spec, [c.val for c in f.terms.values()])
+    for e, num in zip(f.terms, nums):
         for td, cc in enumerate(num):
             if cc:
                 lifted[(td,) + e] = cc

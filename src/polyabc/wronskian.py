@@ -18,8 +18,7 @@ from math import lcm
 from operator import floordiv
 
 from .errors import CasError, SearchExhausted
-from .fields import (PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, _fpt_divmod, _fpt_gcd,
-                     _fpt_mul)
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, clear_denominators
 from .hasse import hasse_derivative
 from .mvpoly import MvPoly, exact_div
 
@@ -92,18 +91,13 @@ def _scan_rows(fs):
         return [[q.numerator * (den // q.denominator) for q in row] for row in vals]
     if spec.kind == PRIME_FIELD:
         return vals
-    p = spec.p
-    den = (1,)
-    for row in vals:
-        for _, d in row:
-            den = _fpt_divmod(_fpt_mul(den, d, p), _fpt_gcd(den, d, p), p)[0]
-    fp = FieldSpec(PRIME_FIELD, p)
+    fp = FieldSpec(PRIME_FIELD, spec.p)
 
-    def poly_in_t(num, d):
-        a = _fpt_mul(num, _fpt_divmod(den, d, p)[0], p)
+    def poly_in_t(a):
         return MvPoly(fp, 1, {(i,): Coeff(fp, c) for i, c in enumerate(a) if c})
 
-    return [[poly_in_t(num, d) for num, d in row] for row in vals]
+    nums = iter(clear_denominators(spec, [x for row in vals for x in row]))
+    return [[poly_in_t(next(nums)) for _ in row] for row in vals]
 
 
 def field_rank(rows, spec) -> int:
@@ -117,8 +111,7 @@ def field_rank(rows, spec) -> int:
     if spec.kind == RATIONAL_P_ADIC:
         return _bareiss(M, div=floordiv)[0]
     if spec.kind == PRIME_FIELD:
-        p = spec.p
-        return _bareiss(M, div=lambda x, d: x * pow(d, -1, p) % p, prev=1)[0]
+        return _bareiss(M, div=spec.ring.div, prev=1)[0]
     return _bareiss(M)[0]
 
 

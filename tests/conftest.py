@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from polyabc.fields import PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, FieldSpec, _fpt_gcd
+from polyabc.fields import PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, FieldSpec
 from polyabc.mvpoly import MvPoly
+
+from helpers import ref_fp_gcd
 
 Q2 = FieldSpec(RATIONAL_P_ADIC, 2)
 Q3 = FieldSpec(RATIONAL_P_ADIC, 3)
@@ -95,7 +97,7 @@ def assert_canonical(spec: FieldSpec, val):
         assert type(poly) is tuple and all(type(x) is int and 0 <= x < p for x in poly)
         assert not poly or poly[-1]
     assert den and den[-1] == 1
-    assert _fpt_gcd(num, den, p) == (1,) if num else den == (1,)
+    assert ref_fp_gcd(num, den, p) == (1,) if num else den == (1,)
 
 
 @st.composite

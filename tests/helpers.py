@@ -2,10 +2,13 @@
 along one axis, Frobenius powers, the Gauss norm at one radius, a parser
 for the text form that ``MvPoly.__str__`` prints, and term-by-term ``Coeff``
 loops for +, -, * and exact division, the reference for ``MvPoly``'s
-payload kernels.
+payload kernels, and two univariate gcds written apart from ``fields``: an
+F_p[t] Euclid on ints mod p and a Euclid on lists of ``Coeff``, the
+references for ``Ring.gcd`` and ``_dense_divmod``.
 
     from helpers import d_axis, frobenius_power, log_gauss_norm, poly_from_text
     from helpers import ref_add, ref_exact_div, ref_mul, ref_sub
+    from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
 """
 
 from __future__ import annotations
@@ -169,3 +172,65 @@ def ref_exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
             else:
                 rem[ee] = s
     return MvPoly(f.spec, f.m, quo)
+
+
+# ---------------------------------------------------------------------------
+# reference univariate gcds, dense, ascending powers
+
+def ref_fp_divmod(a, b, p):
+    """Quotient and remainder of int tuples mod p (no trailing zeros)."""
+    if not b:
+        raise CasError("DIVISION_BY_ZERO", "polynomial division by zero")
+    inv = pow(b[-1], p - 2, p)
+    rem = list(a)
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), tuple(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k]
+        if c:
+            q = (c * inv) % p
+            quo[k - db] = q
+            for j in range(db + 1):
+                rem[k - db + j] = (rem[k - db + j] - q * b[j]) % p
+    return _trim(quo, lambda x: x == 0), _trim(rem, lambda x: x == 0)
+
+
+def ref_fp_gcd(a, b, p):
+    """The monic gcd of int tuples mod p, by Euclid; () for gcd(0, 0)."""
+    while b:
+        _, r = ref_fp_divmod(a, b, p)
+        a, b = b, r
+    if not a:
+        return ()
+    inv = pow(a[-1], p - 2, p)
+    return tuple((x * inv) % p for x in a)
+
+
+def ref_coeff_gcd(a, b):
+    """The monic gcd of lists of ``Coeff``, by Euclid with boxed arithmetic;
+    [] for gcd(0, 0)."""
+    a, b = list(_trim(a, Coeff.is_zero)), list(_trim(b, Coeff.is_zero))
+    while b:
+        inv = b[-1].inverse()
+        db = len(b) - 1
+        rem = list(a)
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k]
+            if not c.is_zero():
+                q = c * inv
+                for j in range(db + 1):
+                    rem[k - db + j] = rem[k - db + j] - q * b[j]
+        a, b = b, list(_trim(rem, Coeff.is_zero))
+    if not a:
+        return []
+    inv = a[-1].inverse()
+    return [x * inv for x in a]
+
+
+def _trim(c, is_zero) -> tuple:
+    n = len(c)
+    while n and is_zero(c[n - 1]):
+        n -= 1
+    return tuple(c[:n])

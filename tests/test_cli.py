@@ -134,6 +134,23 @@ def test_corpus_run_deterministic_bytes():
     assert code1 == code2
 
 
+def test_corpus_run_passes_k_to_every_instance():
+    """corpus-run applies --k as verify-abc2 on one instance does: out of
+    range, the k_range gate fires on every report and the exit code is 2."""
+    args = ["corpus-run", "--field", "q3", "--n", "3", "--count", "2", "--seed", "7",
+            "--check", "verify-abc2", "--format", "machine"]
+    code, out = _run(args + ["--k", "99"])
+    assert code == 2
+    for entry in json.loads(out)["reports"]:
+        assert {"name": "k_range", "ok": False, "witness": "k=99 outside [2, 3]"} \
+            in entry["report"]["hypotheses"]
+    _, out = _run(args + ["--k", "2"])
+    assert all("k_autodetected=2" not in entry["report"]["notes"]
+               for entry in json.loads(out)["reports"])
+    code, _ = _run(["verify-abc2", "--instance", "instances/sum_char0.json", "--k", "99"])
+    assert code == 2
+
+
 def test_console_entry_point():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyabc.errors import CasError
-from polyabc.fields import (NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, FieldSpec, _fpt_add,
-                            _fpt_mul, _ratfunc_canonical, parse_coeff)
+from polyabc.fields import (NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, Coeff, FieldSpec,
+                            _dense_divmod, _fpt_add, _fpt_mul, _ratfunc_canonical, parse_coeff)
 
 from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q5, assert_canonical, property_coeff,
                       random_coeff)
+from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
 
 
 def _p_valuation(n: int, p: int) -> int:
@@ -195,8 +196,60 @@ def test_property_ring_axioms_and_canonical_payloads(triple):
         # the shortcut for denominator 1 agrees with the general formula
         p, (n1, d1), (n2, d2) = spec.p, a, b
         num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
-        assert R.add(a, b) == _ratfunc_canonical(num, _fpt_mul(d1, d2, p), p)
-        assert R.mul(a, b) == _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), p)
+        assert R.add(a, b) == _ratfunc_canonical(num, _fpt_mul(d1, d2, p), R.base)
+        assert R.mul(a, b) == _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), R.base)
+
+
+# -- univariate gcd and division on dense payload tuples ------------------------
+
+_DENSE_SPECS = [F2, F3, F5, F2T, F3T, Q2]
+
+
+def _trimmed(cs):
+    n = len(cs)
+    while n and cs[n - 1].is_zero():
+        n -= 1
+    return cs[:n]
+
+
+@st.composite
+def _dense_pairs(draw):
+    """Two dense polynomials of degree <= 4 over one field, as Coeff lists
+    without trailing zeros: zero and constants included, and over F_p(t)
+    coefficients with denominators t and 1 + t."""
+    spec = draw(st.sampled_from(_DENSE_SPECS))
+    coeff = property_coeff(spec)
+    return spec, [_trimmed(draw(st.lists(coeff, max_size=5))) for _ in range(2)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dense_pairs())
+def test_property_dense_gcd_and_divmod_match_references(pair):
+    spec, (a, b) = pair
+    R = spec.ring
+    A, B = tuple(c.val for c in a), tuple(c.val for c in b)
+    g = R.gcd(A, B)
+    assert g == tuple(c.val for c in ref_coeff_gcd(a, b))
+    if spec.kind == PRIME_FIELD:
+        assert g == ref_fp_gcd(A, B, spec.p)
+    if not B:
+        with pytest.raises(CasError):
+            _dense_divmod(A, B, R)
+        return
+    q, r = _dense_divmod(A, B, R)
+    if spec.kind == PRIME_FIELD:
+        assert (q, r) == ref_fp_divmod(A, B, spec.p)
+    for val in g + q + r:
+        assert_canonical(spec, val)
+    assert len(r) < len(B) and not (q and R.is_zero(q[-1])) and not (r and R.is_zero(r[-1]))
+    # a = q * b + r, by boxed arithmetic
+    out = [spec.zero()] * max(len(a), len(q) + len(b) - 1)
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + Coeff(spec, x) * y
+    for i, x in enumerate(r):
+        out[i] = out[i] + Coeff(spec, x)
+    assert _trimmed(out) == a
 
 
 def test_ring_stays_out_of_spec_identity():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -247,6 +248,50 @@ def test_gcd_differential_vs_sympy():
         ours = poly_gcd(f * h, g * h)
         theirs = sympy.gcd(to_sympy(f * h), to_sympy(g * h))
         assert sympy.simplify(to_sympy(ours) / theirs).is_constant()
+
+
+def _univar(spec, coeffs):
+    """The polynomial with ascending coefficients ``coeffs`` in one variable."""
+    return MvPoly.from_terms(spec, 1, [((i,), c) for i, c in enumerate(coeffs)])
+
+
+def _descending(f):
+    """The coefficient payloads of a univariate f, leading one first."""
+    zero = f.spec.zero()
+    return [f.terms.get((i,), zero).val for i in range(f.degree_in(0), -1, -1)]
+
+
+def test_univariate_gcd_differential_vs_sympy():
+    """One variable: the Ring's Euclid over F_p against sympy with
+    ``modulus=p``, and the integer PRS over Q at degree >= 20."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random("diffgcd-univariate")
+
+    def monic_of_degree(spec, d, coeff):
+        return _univar(spec, [coeff() for _ in range(d)] + [spec.one()])
+
+    for spec in (F2, F3, F5):
+        p = spec.p
+        for _ in range(20):
+            f, g, h = (monic_of_degree(spec, rng.randint(lo, hi),
+                                       lambda: spec.from_int(rng.randrange(p)))
+                       for lo, hi in ((0, 8), (0, 8), (1, 5)))
+            ours = poly_gcd(f * h, g * h)
+            theirs = sympy.Poly(_descending(f * h), x, modulus=p).gcd(
+                sympy.Poly(_descending(g * h), x, modulus=p)).monic()
+            assert _descending(ours) == [int(c) % p for c in theirs.all_coeffs()]
+    for _ in range(6):
+        f, g, h = (monic_of_degree(Q3, rng.randint(lo, hi),
+                                   lambda: Q3.from_fraction(Fraction(rng.randint(-9, 9),
+                                                                     rng.randint(1, 4))))
+                   for lo, hi in ((12, 16), (12, 16), (8, 10)))
+        assert min((f * h).degree_in(0), (g * h).degree_in(0)) >= 20
+        ours = poly_gcd(f * h, g * h)
+        theirs = sympy.Poly(_descending(f * h), x, domain="QQ").gcd(
+            sympy.Poly(_descending(g * h), x, domain="QQ")).monic()
+        assert _descending(ours) == [Fraction(int(c.p), int(c.q)) for c in theirs.all_coeffs()]
 
 
 # -- property tests over Q_2, F_3 and F_3(t), m <= 2 --------------------------
