@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CasError
-from .fields import RATFUNC_T_ADIC
+from .fields import RATFUNC_T_ADIC, int_log
 from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
@@ -180,8 +180,6 @@ class AbcConstants:
     sigma: int | None
     k: int
     k_bar: int
-    gammas_used: list
-    s_index: int | None
 
     def check_invariants(self, p: int | None):
         q = -(-self.a // self.c)  # ceil(a / c)
@@ -238,11 +236,7 @@ def analyze_block(fs, indices=None, k_override=None, vanishing=None) -> BlockAna
     if all(f.is_constant() for f in sub):
         return BlockAnalysis(indices=idxs, all_constant=True)
     d = f_rank(sub)
-    if spec.characteristic == 0:
-        s_index, c = None, 1
-    else:
-        s_index = collection_independence_index(sub)
-        c = spec.p ** (s_index - 1)
+    c = _step_c(sub)
     if vanishing is not None:
         # idxs is sorted, so relabelling keeps the (size, lex) order
         pos = {i: j for j, i in enumerate(idxs)}
@@ -276,15 +270,10 @@ def analyze_block(fs, indices=None, k_override=None, vanishing=None) -> BlockAna
     k_bar = min(k, d)
     top = pool[::-1][:max(k_bar - 1, 0)]
     a_bar = sum(sum(g) for g in top)
-    sigma = None
-    if spec.characteristic:
-        max_comp = max(max(g) for g in pool)
-        sigma = 0
-        while spec.p ** (sigma + 1) <= max_comp:
-            sigma += 1
-    consts = AbcConstants(d=d, c=c, a=a, b=b, a_bar=a_bar, sigma=sigma, k=k,
-                          k_bar=k_bar, gammas_used=list(pool), s_index=s_index)
-    consts.check_invariants(spec.characteristic or None)
+    p = spec.characteristic
+    sigma = int_log(p, max(max(g) for g in pool)) if p else None
+    consts = AbcConstants(d=d, c=c, a=a, b=b, a_bar=a_bar, sigma=sigma, k=k, k_bar=k_bar)
+    consts.check_invariants(p or None)
     wprod = MvPoly.one(spec, sub[0].m)
     for _, _, cert in certs:
         wprod = wprod * cert.determinant

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .abcengine import (DEFAULT_RHOS, _frac_str, verify_abc_first,
+from .abcengine import (DEFAULT_RHOS, _frac_str, _step_c, verify_abc_first,
                         verify_abc_second, verify_basic_abc, verify_corollaries)
 from .errors import CasError, SearchExhausted
 from .hasse import hasse_derivative
@@ -22,7 +22,7 @@ from .instances import (CorpusSpec, Instance, as_int, field_spec_from_code, gene
                         instance_to_dict, parse_instance)
 from .nevanlinna import counting, norm_profile, poisson_constant, truncated_counting
 from .radicals import higher_radical, radical, radical_chain
-from .wronskian import find_certificate, index_of_independence, collection_independence_index
+from .wronskian import find_certificate, index_of_independence
 
 COMMANDS = ("norm", "counting", "radical", "sqfree", "hasse", "wronskian",
             "independence", "verify-basic", "verify-abc1", "verify-abc2",
@@ -222,11 +222,7 @@ def _cmd_wronskian(args):
     inst = _load_instance(args)
     step = _int_param(args, inst, "s", "step_c")
     if step is None:
-        if inst.spec.characteristic == 0:
-            step = 1
-        else:
-            s = collection_independence_index(inst.polys)
-            step = inst.spec.p ** (s - 1)
+        step = _step_c(inst.polys)
     doc = {"id": inst.instance_id, "command": "wronskian", "step": step}
     try:
         cert = find_certificate(inst.polys, step)

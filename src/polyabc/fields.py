@@ -95,6 +95,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def int_log(p: int, x: int) -> int:
+    """Largest s >= 0 with p^s <= x; 0 when x < p."""
+    s = 0
+    while p ** (s + 1) <= x:
+        s += 1
+    return s
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Which coefficient field the computation runs in.  ``ring`` is its

@@ -19,6 +19,7 @@ several polynomials is decomposed from its factors' decompositions
 from __future__ import annotations
 
 from .errors import CasError
+from .fields import int_log
 from .hasse import partial_derivative, poly_pth_root
 from .mvpoly import MvPoly, exact_div, poly_gcd
 
@@ -145,13 +146,7 @@ def square_free_part(f: MvPoly, parts: tuple | None = None) -> MvPoly:
 def stable_radical_level(f: MvPoly) -> int:
     """First s with p^(s+1) > deg f; the radical chain is constant from there."""
     p = f.spec.characteristic
-    if p == 0:
-        return 0
-    d = max(f.total_degree(), 0)
-    s = 0
-    while p ** (s + 1) <= d:
-        s += 1
-    return s
+    return int_log(p, f.total_degree()) if p else 0
 
 
 def trunc_gcd(f: MvPoly, ell: int, parts: tuple | None = None) -> MvPoly:

@@ -4,8 +4,9 @@ A certificate for functions f_0..f_{n-1} is a chain of derivative
 multi-indices gamma^0 = 0, gamma^1, ... with |gamma^i| <= |gamma^{i-1}| + c
 whose Hasse-derivative matrix has nonzero determinant.  The chain is found
 greedily in graded-lex order; in characteristic p the guaranteed step is
-c = p^(s-1) where s is the index of independence, decided exactly by a rank
-computation on the p^s-power component decomposition.
+c = p^(s-1) where s is the index of independence: the first level s at which
+the rank of the p^s-power component matrix reaches the field rank, one rank
+per level for a tuple and for a whole collection alike.
 
 Every rank and determinant runs through one fraction-free (Bareiss)
 elimination over an exact ring: integers, residues mod p, or polynomials.
@@ -18,7 +19,7 @@ from math import lcm
 from operator import floordiv
 
 from .errors import CasError, SearchExhausted
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, clear_denominators
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, clear_denominators, int_log
 from .hasse import hasse_derivative
 from .mvpoly import MvPoly, exact_div
 
@@ -87,7 +88,7 @@ def _scan_rows(fs):
     zero = spec.zero()
     vals = [[f.terms.get(e, zero).val for e in monos] for f in fs]
     if spec.kind == RATIONAL_P_ADIC:
-        den = lcm(*(q.denominator for row in vals for q in row))
+        den = lcm(*[q.denominator for row in vals for q in row])
         return [[q.numerator * (den // q.denominator) for q in row] for row in vals]
     if spec.kind == PRIME_FIELD:
         return vals
@@ -234,12 +235,13 @@ def find_certificate(fs, step_c: int) -> WronskianCertificate:
         candidate = [hasse_derivative(f, gamma) for f in fs]
         if all(x.is_zero() for x in candidate):
             continue
-        if poly_matrix_rank(rows + [candidate]) > len(rows):
+        rank, last, sign = _bareiss([list(row) for row in rows + [candidate]])
+        if rank > len(rows):
             rows.append(candidate)
             gammas.append(gamma)
             last_deg = sum(gamma)
-            if len(rows) == n:
-                det = bareiss_det(rows)
+            if len(rows) == n:  # the elimination above was of the final square matrix
+                det = last if sign == 1 else -last
                 return WronskianCertificate(fs, gammas, step_c, det)
     raise SearchExhausted("exhausted all multi-indices", last_degree=last_deg)
 
@@ -268,21 +270,26 @@ def _component_matrix(fs, s: int):
     return rows
 
 
-def independent_over_power_subfield(fs, s: int) -> bool:
-    """Linear independence over the field of p^s-th-power meromorphic ratios.
+def _full_rank_level(fs, d: int):
+    """Smallest s >= 1 at which the component matrix of fs has rank d, and the
+    search cap.
 
-    Decided by the rank of the component matrix over the fraction field of
-    the compressed polynomial ring; a rank defect is exactly a syzygy with
-    coefficients supported on exponents in p^s Z^m.
+    The rank at level s is the dimension of the span of fs over K_s, the
+    p^s-th-power ratios, which contain the coefficient field, so it is at most
+    the field rank and never falls as s grows.  Once p^s exceeds the largest
+    total degree every component is a constant and the rank is the field
+    rank; the cap is the first such level.
     """
-    if fs[0].spec.characteristic == 0:
-        raise CasError("WRONG_CHARACTERISTIC", "power subfields need characteristic p")
-    rows = _component_matrix(fs, s)
-    return poly_matrix_rank(rows) == len(fs)
+    cap = int_log(fs[0].spec.p, max(f.total_degree() for f in fs)) + 1
+    for s in range(1, cap + 2):
+        if poly_matrix_rank(_component_matrix(fs, s)) == d:
+            return s, cap
+    raise CasError("SEARCH_EXHAUSTED", "independence level beyond the degree cap")
 
 
 def _dependence_witness(fs, s: int):
-    """Coefficients Q_j (supported on p^s-divisible exponents) with sum Q_j f_j = 0."""
+    """Coefficients Q_j (supported on p^s-divisible exponents) with sum Q_j f_j = 0,
+    at a level s where fs is dependent over the p^s-th-power subfield."""
     spec = fs[0].spec
     m = fs[0].m
     q = spec.p ** s
@@ -291,8 +298,6 @@ def _dependence_witness(fs, s: int):
     one, zero = MvPoly.one(spec, m), MvPoly.zero(spec, m)
     M = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
     rank, _, _ = _bareiss(M, ncols)
-    if rank == n:
-        return None
     # row `rank` of [rows | I] is zero left of the block, so its block is a
     # syzygy; stretch the compressed variables back out: z -> z^(p^s)
     return [MvPoly(spec, m, {tuple(e * q for e in exps): c for exps, c in g.terms.items()})
@@ -301,50 +306,28 @@ def _dependence_witness(fs, s: int):
 
 def index_of_independence(fs) -> IndependenceResult:
     """Smallest s >= 1 at which the tuple stays independent over the
-    p^s-th-power subfield; the search self-terminates once p^s exceeds the
-    total degree, where component rank equals plain field rank."""
+    p^s-th-power subfield, with a dependence witness at level s - 1 when
+    s > 1; the search self-terminates once p^s exceeds the total degree,
+    where component rank equals plain field rank."""
     fs = list(fs)
-    spec = fs[0].spec
-    if spec.characteristic == 0:
+    if fs[0].spec.characteristic == 0:
         raise CasError("WRONG_CHARACTERISTIC", "index of independence needs characteristic p")
     if not f_independent(fs):
         raise CasError("NOT_F_INDEPENDENT", "functions are linearly dependent over the field")
-    max_deg = max(f.total_degree() for f in fs)
-    cap = 1
-    while spec.p ** cap <= max_deg:
-        cap += 1
-    witness = None
-    s = 1
-    while True:
-        if independent_over_power_subfield(fs, s):
-            if s > 1 and witness is None:
-                witness = _dependence_witness(fs, s - 1)
-                witness = (s - 1, witness) if witness else None
-            return IndependenceResult(index_s=s, dependent_over=witness, search_cap=cap)
-        witness = None
-        s += 1
-        if s > cap + 1:
-            raise CasError("SEARCH_EXHAUSTED", "independence level beyond the degree cap")
+    s, cap = _full_rank_level(fs, len(fs))
+    witness = (s - 1, _dependence_witness(fs, s - 1)) if s > 1 else None
+    return IndependenceResult(index_s=s, dependent_over=witness, search_cap=cap)
 
 
 def collection_independence_index(fs) -> int:
-    """Smallest s such that every field-independent subset of fs stays
-    independent over the p^s-power subfield (1 when nothing binds)."""
-    fs = list(fs)
-    spec = fs[0].spec
-    if spec.characteristic == 0:
-        raise CasError("WRONG_CHARACTERISTIC", "index of independence needs characteristic p")
-    from itertools import combinations
+    """Smallest s >= 1 such that every field-independent subset of fs stays
+    independent over the p^s-th-power subfield (1 when nothing binds).
 
-    d = f_rank(fs)
-    best = 1
-    if d == 0:
-        return 1
-    for base in combinations(range(len(fs)), d):
-        subset = [fs[i] for i in base]
-        if not f_independent(subset):
-            continue
-        res = index_of_independence(subset)
-        if res.index_s > best:
-            best = res.index_s
-    return best
+    Every field basis of fs spans what fs spans over K_s, so all of them are
+    K_s-independent exactly when the component rank of fs reaches the field
+    rank of fs.
+    """
+    fs = list(fs)
+    if fs[0].spec.characteristic == 0:
+        raise CasError("WRONG_CHARACTERISTIC", "index of independence needs characteristic p")
+    return _full_rank_level(fs, f_rank(fs))[0]

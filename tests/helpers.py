@@ -4,21 +4,26 @@ for the text form that ``MvPoly.__str__`` prints, and term-by-term ``Coeff``
 loops for +, -, * and exact division, the reference for ``MvPoly``'s
 payload kernels, and two univariate gcds written apart from ``fields``: an
 F_p[t] Euclid on ints mod p and a Euclid on lists of ``Coeff``, the
-references for ``Ring.gcd`` and ``_dense_divmod``.
+references for ``Ring.gcd`` and ``_dense_divmod``, and the collection index
+of independence by one level search per field basis, the reference for
+``collection_independence_index``.
 
     from helpers import d_axis, frobenius_power, log_gauss_norm, poly_from_text
     from helpers import ref_add, ref_exact_div, ref_mul, ref_sub
     from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
+    from helpers import independent_over_power_subfield, ref_collection_index
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from polyabc.errors import CasError, NotDivisible, ParseError
 from polyabc.fields import NEG_INFINITY, Coeff, FieldSpec, parse_coeff
 from polyabc.hasse import hasse_derivative
 from polyabc.mvpoly import MvPoly, grlex_key
+from polyabc.wronskian import _component_matrix, f_independent, f_rank, poly_matrix_rank
 
 
 def d_axis(f: MvPoly, j: int, k: int) -> MvPoly:
@@ -234,3 +239,37 @@ def _trim(c, is_zero) -> tuple:
     while n and is_zero(c[n - 1]):
         n -= 1
     return tuple(c[:n])
+
+
+# ---------------------------------------------------------------------------
+# reference collection index: one level search per field basis
+
+def independent_over_power_subfield(fs, s: int) -> bool:
+    """Linear independence over the field of p^s-th-power meromorphic ratios.
+
+    Decided by the rank of the component matrix over the fraction field of
+    the compressed polynomial ring; a rank defect is exactly a syzygy with
+    coefficients supported on exponents in p^s Z^m.
+    """
+    if fs[0].spec.characteristic == 0:
+        raise CasError("WRONG_CHARACTERISTIC", "power subfields need characteristic p")
+    return poly_matrix_rank(_component_matrix(fs, s)) == len(fs)
+
+
+def ref_collection_index(fs) -> int:
+    """The largest, over every field-independent subset of d = field rank
+    functions of fs, of the first level s >= 1 at which the subset stays
+    independent over the p^s-th-power subfield; 1 when d = 0."""
+    d = f_rank(fs)
+    if d == 0:
+        return 1
+    best = 1
+    for base in combinations(range(len(fs)), d):
+        subset = [fs[i] for i in base]
+        if not f_independent(subset):
+            continue
+        s = 1
+        while not independent_over_power_subfield(subset, s):
+            s += 1
+        best = max(best, s)
+    return best

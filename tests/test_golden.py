@@ -23,34 +23,44 @@ GOLDEN = {
     "norm --instance instances/basic_char0.json": ("ec3926ddcab1af3c667d696ad0d80c64", 0),
     "norm --instance instances/fermat_f5.json": ("9e1928f24e7310ec7cc0fa7407d547fb", 0),
     "norm --instance instances/sum_char0.json": ("6d14e633914237d0ef2a814b70d37338", 0),
+    "norm --instance instances/power_sum_f2.json": ("7a11be1c33b7e95be0852c4e01aa571e", 0),
     "counting --instance instances/basic_char0.json": ("afb726e99e0e379fb435e943ad352ad0", 0),
     "counting --instance instances/fermat_f5.json": ("49c36f23cbfe1510f37d7c9f842145e8", 0),
     "counting --instance instances/sum_char0.json": ("7720d5dbcc24b562448543f5b45cf975", 0),
+    "counting --instance instances/power_sum_f2.json": ("01080a077dc285ff778bf466728aedb5", 0),
     "radical --instance instances/basic_char0.json": ("f237c97f48f768990391a5ab07c543ca", 0),
     "radical --instance instances/fermat_f5.json": ("73983d3808e6343bd23d5b289a90ed6f", 0),
     "radical --instance instances/sum_char0.json": ("d593d84fd0064d2ca8932a3c8a0b50a4", 0),
+    "radical --instance instances/power_sum_f2.json": ("452703827414d2d0818228d2cb8d8a98", 0),
     "sqfree --instance instances/basic_char0.json": ("a46bf4b04c2793fc40ca7601aa9217c6", 0),
     "sqfree --instance instances/fermat_f5.json": ("63b22d55c2bc878edfa59c83605abf2f", 0),
     "sqfree --instance instances/sum_char0.json": ("d64e86f9c43daf833f3cd6bf3c87a664", 0),
+    "sqfree --instance instances/power_sum_f2.json": ("f890da2750e21e42d459ccded83dfaf1", 0),
     "hasse --instance instances/basic_char0.json": ("68fd46999f8375d7ff140de05f5875c3", 1),
     "wronskian --instance instances/basic_char0.json": ("debfb3d06b80bf08be66a1f24706d65f", 0),
     "wronskian --instance instances/fermat_f5.json": ("536b6096be502feb935bfddbed9bfee6", 0),
     "wronskian --instance instances/sum_char0.json": ("95d1e5bcc6ba6c8e4996794269383dcd", 1),
+    "wronskian --instance instances/power_sum_f2.json": ("95d1e5bcc6ba6c8e4996794269383dcd", 1),
     "independence --instance instances/basic_char0.json": ("8f53d670ec1372f2ec818c5035a24ef3", 1),
     "independence --instance instances/fermat_f5.json": ("d63cc9f77343464b9803eda4595e2c7c", 0),
     "independence --instance instances/sum_char0.json": ("8f53d670ec1372f2ec818c5035a24ef3", 1),
+    "independence --instance instances/power_sum_f2.json": ("95d1e5bcc6ba6c8e4996794269383dcd", 1),
     "verify-basic --instance instances/basic_char0.json": ("550b64f7b7d08853aea1400aa04b40c0", 0),
     "verify-basic --instance instances/fermat_f5.json": ("e42cee90f2fea98fec64cf6c1c85f9aa", 2),
     "verify-basic --instance instances/sum_char0.json": ("f4d090b998a4f32c68396cb6a470ed83", 0),
+    "verify-basic --instance instances/power_sum_f2.json": ("d34afe1714b47841355bf60c8b19f644", 2),
     "verify-abc1 --instance instances/basic_char0.json": ("8aa9602aef9de3eff77ac7ddc62e510b", 2),
     "verify-abc1 --instance instances/fermat_f5.json": ("2c0a266c6f8f4ebd9de1f85dcd1b13e8", 2),
     "verify-abc1 --instance instances/sum_char0.json": ("3e03c7b5796a8734a79fe00cb431bf36", 0),
+    "verify-abc1 --instance instances/power_sum_f2.json": ("1015a3030bb8dd404b760e624c87f869", 0),
     "verify-abc2 --instance instances/basic_char0.json": ("7e2c997d5c0daacc0ed0873711cbaa6b", 2),
     "verify-abc2 --instance instances/fermat_f5.json": ("a9d382ca4c32601cfc25b804835c73b2", 2),
     "verify-abc2 --instance instances/sum_char0.json": ("53e27ad8b0fd5dafb063ed86f3c638ea", 0),
+    "verify-abc2 --instance instances/power_sum_f2.json": ("f72a9200d9bd06861cd041d1ceb55964", 0),
     "corollaries --instance instances/basic_char0.json": ("5d2184c919bac4b7740f20a73c79d8ee", 2),
     "corollaries --instance instances/fermat_f5.json": ("5d7aa84036dd9c34baefa0d5b8ffa1b2", 1),
     "corollaries --instance instances/sum_char0.json": ("e9f214aaed6510936f5c1d60a9cb9ec0", 0),
+    "corollaries --instance instances/power_sum_f2.json": ("5d7aa84036dd9c34baefa0d5b8ffa1b2", 1),
     "corpus-run --field q2 --check verify-basic --count 4 --seed 7 --m 2 --deg 5": ("1e203c0c6fb805a097a1d0f32b884d10", 0),
     "corpus-run --field q3 --check verify-abc1 --count 4 --seed 7 --n 4 --deg 6": ("519189ea3b1c04ae37bbdcbd8e5ea353", 0),
     "corpus-run --field q5 --check corollaries --count 4 --seed 7 --n 3 --deg 6 --mode kwise": ("782f700beea5f6d0b714fe565fafc8d9", 0),

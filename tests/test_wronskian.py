@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyabc.errors import CasError, SearchExhausted
 from polyabc.mvpoly import MvPoly
@@ -10,7 +12,8 @@ from polyabc.wronskian import (bareiss_det, collection_independence_index, f_ind
                                f_rank, find_certificate, gen_wronskian, index_of_independence,
                                poly_matrix_rank)
 
-from conftest import F2, F3, Q2, random_poly
+from conftest import F2, F2T, F3, F3T, F5, Q2, property_coeff, random_poly
+from helpers import frobenius_power, independent_over_power_subfield, ref_collection_index
 
 
 def _z(spec, m=1, i=0):
@@ -76,6 +79,7 @@ def test_certificate_monotone_in_step():
                     cert = find_certificate(fs, c)
                 except SearchExhausted:
                     continue
+                assert cert.validate()  # the determinant matches gen_wronskian's
                 # once a step works, bigger steps work too
                 for c2 in range(c + 1, 5):
                     cert2 = find_certificate(fs, c2)
@@ -150,6 +154,47 @@ def test_collection_index():
     assert collection_independence_index(fs) == 2
     fs2 = [one, zp, -(one + zp)]
     assert collection_independence_index(fs2) == 1
+    # z1^4 and z2^4 (1 + z1^4) are dependent over the squares and the 4th
+    # powers, independent over the 8th powers
+    x, y, one = _z(F2, 2, 0), _z(F2, 2, 1), _one(F2, 2)
+    fs3 = [x ** 4, y ** 4 * (one + x ** 4), x ** 4 + y ** 4 * (one + x ** 4)]
+    assert collection_independence_index(fs3) == ref_collection_index(fs3) == 3
+    assert collection_independence_index([MvPoly.zero(F2, 2)] * 2) == 1
+
+
+@st.composite
+def _power_collections(draw):
+    """n functions f_i = sum_j Q_ij^(p^L) u_j over r < n small u_j: their span
+    over the p^L-th powers has dimension at most r, so when the field rank
+    exceeds r the collection index exceeds L."""
+    spec = draw(st.sampled_from([F2, F3, F5, F2T, F3T]))
+    m = draw(st.integers(1, 2))
+    level = draw(st.sampled_from([0, 1, 2, 2]))
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(r + 1, 4))
+
+    def poly(deg):
+        term = st.tuples(st.tuples(*[st.integers(0, deg)] * m), property_coeff(spec))
+        return MvPoly.from_terms(spec, m, draw(st.lists(term, min_size=1, max_size=3)))
+
+    us = [poly(2) for _ in range(r)]
+    fs = []
+    for _ in range(n):
+        f = MvPoly.zero(spec, m)
+        for u in us:
+            q = poly(1) + MvPoly.variable(spec, m, draw(st.integers(0, m - 1)))
+            f = f + frobenius_power(q, level) * u
+        fs.append(f)
+    return fs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_collections())
+def test_property_collection_index_matches_per_basis_search(fs):
+    s = collection_independence_index(fs)
+    assert s == ref_collection_index(fs)
+    if f_independent(fs):
+        assert index_of_independence(fs).index_s == s
 
 
 def test_divisibility_single_function():
@@ -257,9 +302,6 @@ def test_f_rank():
 
 
 def test_charp_multivariate_certificates_with_power_structure():
-    from helpers import frobenius_power
-    from polyabc.wronskian import independent_over_power_subfield
-
     rng = random.Random("mvcert")
     done = 0
     while done < 25:
