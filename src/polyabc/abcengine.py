@@ -33,8 +33,8 @@ from .nevanlinna import PiecewiseLinear, counting, norm_profile
 from .radicals import (_product, product_decomposition, radical, sigma_radical_gcd,
                        square_free_decomposition, square_free_part, stable_radical_level,
                        trunc_gcd)
-from .wronskian import (WronskianCertificate, _scan_rows, collection_independence_index, f_rank,
-                        field_rank, find_certificate)
+from .wronskian import (WronskianCertificate, _reduce_row, _scan_division, _scan_rows,
+                        collection_independence_index, f_rank, find_certificate)
 
 DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
 
@@ -51,55 +51,107 @@ def _gcd_of(fs, idxs) -> MvPoly:
     return acc.normalized()
 
 
+# Tuples here are built from lists: tuple() of an iterator of unknown length
+# allocates a larger tuple and shrinks it, bypassing the free list of the
+# final size, whose entries then pile up (up to 2000 per size) when freed;
+# over a long qp_wide run that held about 1 MB more resident memory.
+
+def _indices(mask) -> tuple:
+    """The index set of a bitmask, ascending."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+
+
+def _by_size(masks) -> list:
+    """The index sets of ``masks`` in (size, lex) order."""
+    return sorted(map(_indices, masks), key=lambda sub: (len(sub), sub))
+
+
+def _subset_sums(rows, width, p) -> list:
+    """The sum of every subset of ``rows``, at the index of its bitmask, as a
+    tuple reduced mod p when p is nonzero."""
+    sums = [(0,) * width]
+    for row in rows:
+        if p:
+            sums += [tuple([(a + b) % p for a, b in zip(s, row)]) for s in sums]
+        else:
+            sums += [tuple([a + b for a, b in zip(s, row)]) for s in sums]
+    return sums
+
+
 def _vanishing(fs):
     """Every index set whose subsum vanishes, in (size, lex) order.
 
-    A depth-first walk over the exact rows of ``_scan_rows``, with each F_p[t]
-    entry over F_p(t) flattened to its coefficients, on which a 0/1 subsum
-    acts F_p-linearly: each subset's sum is its parent's sum plus one row,
-    so every subsum is formed once.  Sums of at most MAX_POLYS rows stay
-    small, so they are reduced mod p only in the test.
+    Meet in the middle (Horowitz and Sahni) on the exact rows of
+    ``_scan_rows``, with each F_p[t] entry over F_p(t) flattened to its
+    coefficients, on which a 0/1 subsum acts F_p-linearly: the subset sums
+    of the first half of the rows are tabulated by their vector, those of
+    the negated second half are looked up in that table, and a set vanishes
+    iff its two halves meet.  That forms 2 * 2^(n/2) row sums, not 2^n;
+    over F_p and F_p(t) the vectors are reduced mod p.
     """
     guard_poly_count(len(fs))
     spec = fs[0].spec
-    p = spec.characteristic or None
     rows = _scan_rows(fs)
     if spec.kind == RATFUNC_T_ADIC:
         width = max((a.degree_in(0) + 1 for row in rows for a in row), default=0)
         rows = [[a.terms[(i,)].val if (i,) in a.terms else 0 for a in row for i in range(width)]
                 for row in rows]
-    out = []
-
-    def walk(start, sub, acc):
-        for i in range(start, len(rows)):
-            total = [a + b for a, b in zip(acc, rows[i])] if sub else rows[i]
-            if not any(total if p is None else (x % p for x in total)):
-                out.append(sub + (i,))
-            walk(i + 1, sub + (i,), total)
-
-    walk(0, (), None)
-    out.sort(key=lambda sub: (len(sub), sub))
-    return out
+    width, half, p = len(rows[0]), len(rows) // 2, spec.characteristic
+    first = {}
+    for mask, total in enumerate(_subset_sums(rows[:half], width, p)):
+        first.setdefault(total, []).append(mask)
+    negated = [[-x for x in row] for row in rows[half:]]
+    return _by_size(low | high << half
+                    for high, total in enumerate(_subset_sums(negated, width, p))
+                    for low in first.get(total, ()) if low | high)
 
 
 def _circuits(fs):
     """Minimal linearly dependent index sets, in (size, lex) order.
 
-    Subsets come by size, so a dependent set that contains no circuit found
-    before it has only independent proper subsets: it is itself a circuit.
-    Any rank + 1 members are dependent, so no circuit is larger.  Subsets
-    are ranked on the exact rows of ``_scan_rows``.
+    One depth-first walk over the independent index sets in lex order, on
+    the exact rows of ``_scan_rows``, keeps the eliminated rows of the
+    current set on a stack: a child set costs one reduction of its new row
+    against them, a fraction-free ``_bareiss`` step per eliminated row, and
+    is dependent iff that row reduces to zero.  The pivot columns need not
+    ascend: every entry is still a minor of the rows taken (Sylvester's
+    identity), so each division stays exact.  A circuit minus its largest
+    index is independent, so every circuit is such a dependent child; a
+    dependent child is a circuit iff each of its one-smaller subsets is
+    independent, that is, was visited by the walk.
     """
     spec = fs[0].spec
     rows = _scan_rows(fs)
-    out = []
-    for size in range(1, field_rank(rows, spec) + 2):
-        for sub in combinations(range(len(fs)), size):
-            members = set(sub)
-            if (not any(members.issuperset(c) for c in out)
-                    and field_rank([rows[i] for i in sub], spec) < size):
-                out.append(sub)
-    return out
+    div, prev = _scan_division(spec)
+    n, cols = len(rows), range(len(rows[0]))
+    free = cols  # the columns without a pivot in the current set
+    independent, dependent = {0}, []
+    stack = []  # (eliminated row, pivot column, divisor of its step, index, free columns after)
+    j = mask = 0
+    while True:
+        if j == n:
+            if not stack:
+                break
+            _, _, prev, j, _ = stack.pop()
+            free = stack[-1][4] if stack else cols
+            mask ^= 1 << j
+            j += 1
+            continue
+        row = list(rows[j])
+        for prow, c, d, _, rest in stack:
+            _reduce_row(row, prow, c, rest, div, d)
+        c = next((k for k in free if row[k]), None)
+        if c is None:
+            dependent.append(mask | 1 << j)
+        else:
+            mask |= 1 << j
+            independent.add(mask)
+            free = [k for k in free if k != c]
+            stack.append((row, c, prev, j, free))
+            prev = row[c]
+        j += 1
+    return _by_size(m for m in dependent
+                    if all((m ^ 1 << i) in independent for i in _indices(m)))
 
 
 @dataclass
@@ -464,15 +516,17 @@ def _aggregate_constants(live) -> dict:
 
 
 def _divisibility_ledger(rep: AbcReport, fs, live, g_for):
-    """Assert F_B divides (product of block Wronskians) * (product of G_j)."""
+    """Assert F_B divides (product of block Wronskians) * (product of G_j).
+
+    G_j divides f_j, so that holds iff W is divisible by the product of the
+    h_j = f_j / G_j: W is divided by each h_j in turn, and no product is
+    formed.  Each division is exact or raises.
+    """
     for ana in live:
-        prod = ana.wronskian_product
-        block_F = MvPoly.one(fs[0].spec, fs[0].m)
-        for i in ana.indices:
-            prod = prod * g_for[i]
-            block_F = block_F * fs[i]
+        w = ana.wronskian_product
         try:
-            exact_div(prod, block_F)
+            for i in ana.indices:
+                w = exact_div(w, exact_div(fs[i], g_for[i]))
         except CasError as exc:
             raise CasError("LEDGER_FAILURE",
                            f"block {ana.indices}: F does not divide W*G") from exc

@@ -20,9 +20,9 @@ from .errors import CasError, SearchExhausted
 from .hasse import hasse_derivative
 from .instances import (CorpusSpec, Instance, as_int, field_spec_from_code, generate_corpus,
                         instance_to_dict, parse_instance)
-from .nevanlinna import counting, norm_profile, poisson_constant, truncated_counting
+from .nevanlinna import counting, norm_profile, truncated_counting
 from .radicals import higher_radical, radical, radical_chain
-from .wronskian import find_certificate, index_of_independence
+from .wronskian import find_certificate, index_of_independence, require_f_independent
 
 COMMANDS = ("norm", "counting", "radical", "sqfree", "hasse", "wronskian",
             "independence", "verify-basic", "verify-abc1", "verify-abc2",
@@ -146,7 +146,7 @@ def _cmd_counting(args):
     for f in inst.polys:
         cd = counting(f)
         entry = {"poly": str(f), "counting": _counting_doc(cd),
-                 "poisson_constant": _frac_str(poisson_constant(f))}
+                 "poisson_constant": _frac_str(cd.poisson_constant())}
         if ell is not None:
             entry["truncated"] = _counting_doc(truncated_counting(f, ell))
         entries.append(entry)
@@ -222,6 +222,7 @@ def _cmd_wronskian(args):
     inst = _load_instance(args)
     step = _int_param(args, inst, "s", "step_c")
     if step is None:
+        require_f_independent(inst.polys)  # a dependent tuple fails before its index is paid for
         step = _step_c(inst.polys)
     doc = {"id": inst.instance_id, "command": "wronskian", "step": step}
     try:

@@ -379,7 +379,10 @@ def _ratfunc_canonical(num, den, base):
 
 def clear_denominators(spec: FieldSpec, vals) -> list:
     """The F_p(t) payloads ``vals`` over the lcm L of their denominators: the
-    F_p[t] numerators num * (L / den), one per payload."""
+    F_p[t] numerators num * (L / den), one per payload.  When every
+    denominator is 1, L is 1 and the numerators are the answer."""
+    if all(d == (1,) for _, d in vals):
+        return [num for num, _ in vals]
     p, base = spec.p, spec.ring.base
     den = (1,)
     for _, d in vals:
@@ -394,23 +397,24 @@ class Ring:
     and return canonical payloads; ``is_zero`` tests one; ``zero`` and ``one``
     are the payloads of 0 and 1.  ``gcd`` takes two dense polynomials (tuples
     of payloads, ascending powers, no trailing zeros) and returns their monic
-    gcd: Euclid over the field for F_p and F_p(t), an integer primitive
-    remainder sequence over Q.  The F_p(t) ring keeps the Ring of F_p as
+    gcd: Euclid over the field for F_p and F_p(t) (``euclid``), an integer
+    primitive remainder sequence over Q.  ``gcd`` is a method, so a Ring holds
+    no reference to itself and is freed with its FieldSpec without waiting for
+    the cyclic collector.  The F_p(t) ring keeps the Ring of F_p as
     ``base`` for its numerators and denominators.  Over F_p(t), sums and
     products of two polynomials (denominator 1) are canonical as they stand
     and skip ``_ratfunc_canonical``.
     """
 
-    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero", "gcd", "base")
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero", "euclid", "base")
 
     def __init__(self, kind: str, p: int):
         self.is_zero = operator.not_
-        self.gcd = lambda a, b: _dense_gcd(a, b, self)
+        self.euclid = kind != RATIONAL_P_ADIC
         if kind == RATIONAL_P_ADIC:
             self.zero, self.one = Fraction(0), Fraction(1)
             self.add, self.sub, self.neg = operator.add, operator.sub, operator.neg
             self.mul, self.div = operator.mul, operator.truediv
-            self.gcd = _q_gcd
         elif kind == PRIME_FIELD:
             self.zero, self.one = 0, 1
             self.add = lambda a, b: (a + b) % p
@@ -444,6 +448,9 @@ class Ring:
             self.neg = lambda a: (_fpt_neg(a[0], p), a[1])
             self.sub = lambda a, b: add(a, (_fpt_neg(b[0], p), b[1]))
             self.is_zero = lambda a: not a[0]
+
+    def gcd(self, a, b) -> tuple:
+        return _dense_gcd(a, b, self) if self.euclid else _q_gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,27 @@ class CountingData:
 
     ``n_values`` is the right-continuous step function rho -> n_f(0, p^rho)
     (one value per segment); ``integrated`` is its exact integral normalized
-    to n_f(0,0) * rho below the first breakpoint.
+    to n_f(0,0) * rho below the first breakpoint; ``profile`` is the norm
+    profile rho -> log|f|_{p^rho} they were read off.
     """
 
     n_at_zero: int
     breakpoints: list = field(default_factory=list)
     n_values: list = field(default_factory=list)
     integrated: PiecewiseLinear = None
+    profile: PiecewiseLinear = None
+
+    def poisson_constant(self) -> Fraction:
+        """The r-independent gap between integrated counting and the log norm.
+
+        The two piecewise-linear functions share all slopes, so their
+        difference must be a single constant; anything else is an internal
+        inconsistency.
+        """
+        gap = self.integrated - self.profile
+        if gap.breakpoints or gap.slopes[0] != 0:
+            raise CasError("NOT_CONSTANT", f"counting/norm gap is not constant: {gap!r}")
+        return gap.anchor
 
     def n_at(self, rho) -> int:
         """Right-continuous step value at rho."""
@@ -204,21 +218,7 @@ def counting(f: MvPoly) -> CountingData:
     anchor = Fraction(n0) * bps[0] if bps else Fraction(0)
     integrated = PiecewiseLinear(bps, [Fraction(v) for v in n_values], anchor)
     return CountingData(n_at_zero=n0, breakpoints=bps, n_values=n_values,
-                        integrated=integrated)
-
-
-def poisson_constant(f: MvPoly) -> Fraction:
-    """The r-independent gap between integrated counting and the log norm.
-
-    The two piecewise-linear functions share all slopes, so their difference
-    must be a single constant; anything else is an internal inconsistency.
-    """
-    if f.is_zero():
-        raise CasError("ZERO_POLY", "no constant for the zero polynomial")
-    gap = counting(f).integrated - norm_profile(f)
-    if gap.breakpoints or gap.slopes[0] != 0:
-        raise CasError("NOT_CONSTANT", f"counting/norm gap is not constant: {gap!r}")
-    return gap.anchor
+                        integrated=integrated, profile=prof)
 
 
 def truncated_counting(f: MvPoly, ell: int) -> CountingData:

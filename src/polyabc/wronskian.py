@@ -56,21 +56,26 @@ def _bareiss(M, ncols=None, div=exact_div, prev=None):
             M[rank], M[piv] = M[piv], M[rank]
             sign = -sign
         prow = M[rank]
-        pivot = prow[c]
-        zero = pivot - pivot
         tail = range(c + 1, width)
         for row in M[rank + 1:]:
-            head = row[c]
-            if prev is None:
-                for j in tail:
-                    row[j] = pivot * row[j] - head * prow[j]
-            else:
-                for j in tail:
-                    row[j] = div(pivot * row[j] - head * prow[j], prev)
-            row[c] = zero
-        prev = pivot
+            _reduce_row(row, prow, c, tail, div, prev)
+        prev = prow[c]
         rank += 1
     return rank, prev, sign
+
+
+def _reduce_row(row, prow, c, cols, div, prev):
+    """One fraction-free step of ``_bareiss``, in place: over ``cols``,
+    row <- (pivot * row - row[c] * prow) / prev with pivot = prow[c], and
+    row[c] <- 0.  The division is ``div`` (none while ``prev`` is None)."""
+    pivot, head = prow[c], row[c]
+    if prev is None:
+        for j in cols:
+            row[j] = pivot * row[j] - head * prow[j]
+    else:
+        for j in cols:
+            row[j] = div(pivot * row[j] - head * prow[j], prev)
+    row[c] = pivot - pivot
 
 
 def _scan_rows(fs):
@@ -101,19 +106,23 @@ def _scan_rows(fs):
     return [[poly_in_t(next(nums)) for _ in row] for row in vals]
 
 
-def field_rank(rows, spec) -> int:
-    """Rank over the field of ``spec`` of coefficient rows from ``_scan_rows``.
-
-    Bareiss elimination over the rows' ring: floor division is exact on the
-    integers; over F_p it multiplies by the inverse and reduces from the
-    first step on, so every zero test sees a residue; F_p[t] divides exactly.
-    """
-    M = [list(r) for r in rows]
+def _scan_division(spec):
+    """The ``div`` and initial ``prev`` of ``_bareiss`` on rows from
+    ``_scan_rows``: floor division is exact on the integers; over F_p it
+    multiplies by the inverse and reduces from the first step on, so every
+    zero test sees a residue; F_p[t] divides exactly."""
     if spec.kind == RATIONAL_P_ADIC:
-        return _bareiss(M, div=floordiv)[0]
+        return floordiv, None
     if spec.kind == PRIME_FIELD:
-        return _bareiss(M, div=spec.ring.div, prev=1)[0]
-    return _bareiss(M)[0]
+        return spec.ring.div, 1
+    return exact_div, None
+
+
+def field_rank(rows, spec) -> int:
+    """Rank over the field of ``spec`` of coefficient rows from ``_scan_rows``,
+    by Bareiss elimination over the rows' ring."""
+    div, prev = _scan_division(spec)
+    return _bareiss([list(r) for r in rows], div=div, prev=prev)[0]
 
 
 def f_rank(fs) -> int:
@@ -201,6 +210,14 @@ def gen_wronskian(fs, gammas) -> MvPoly:
     return bareiss_det(rows)
 
 
+def require_f_independent(fs):
+    """NOT_F_INDEPENDENT unless fs is linearly independent over the field."""
+    if any(f.is_zero() for f in fs):
+        raise CasError("NOT_F_INDEPENDENT", "zero function in the tuple")
+    if not f_independent(fs):
+        raise CasError("NOT_F_INDEPENDENT", "functions are linearly dependent over the field")
+
+
 def find_certificate(fs, step_c: int) -> WronskianCertificate:
     """Greedy rank-growing search for a nonvanishing generalized Wronskian.
 
@@ -214,10 +231,7 @@ def find_certificate(fs, step_c: int) -> WronskianCertificate:
         raise CasError("DIMENSION_MISMATCH", "no functions")
     if step_c < 1:
         raise CasError("VALIDATION_ERROR", "step must be positive")
-    if any(f.is_zero() for f in fs):
-        raise CasError("NOT_F_INDEPENDENT", "zero function in the tuple")
-    if not f_independent(fs):
-        raise CasError("NOT_F_INDEPENDENT", "functions are linearly dependent over the field")
+    require_f_independent(fs)
     n = len(fs)
     m = fs[0].m
     zero_gamma = (0,) * m

@@ -1,5 +1,6 @@
 """Polynomial helpers that only the tests use: order-k Hasse derivatives
-along one axis, Frobenius powers, the Gauss norm at one radius, a parser
+along one axis, Frobenius powers, the Gauss norm at one radius, the Poisson
+constant of one polynomial, a parser
 for the text form that ``MvPoly.__str__`` prints, and term-by-term ``Coeff``
 loops for +, -, * and exact division, the reference for ``MvPoly``'s
 payload kernels, and two univariate gcds written apart from ``fields``: an
@@ -8,7 +9,7 @@ references for ``Ring.gcd`` and ``_dense_divmod``, and the collection index
 of independence by one level search per field basis, the reference for
 ``collection_independence_index``.
 
-    from helpers import d_axis, frobenius_power, log_gauss_norm, poly_from_text
+    from helpers import d_axis, frobenius_power, log_gauss_norm, poisson_constant, poly_from_text
     from helpers import ref_add, ref_exact_div, ref_mul, ref_sub
     from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
     from helpers import independent_over_power_subfield, ref_collection_index
@@ -23,6 +24,7 @@ from polyabc.errors import CasError, NotDivisible, ParseError
 from polyabc.fields import NEG_INFINITY, Coeff, FieldSpec, parse_coeff
 from polyabc.hasse import hasse_derivative
 from polyabc.mvpoly import MvPoly, grlex_key
+from polyabc.nevanlinna import counting
 from polyabc.wronskian import _component_matrix, f_independent, f_rank, poly_matrix_rank
 
 
@@ -53,6 +55,12 @@ def _coeff_power(c: Coeff, n: int) -> Coeff:
         if n:
             base = base * base
     return out
+
+
+def poisson_constant(f: MvPoly) -> Fraction:
+    """The gap between the integrated counting and the log norm of f, read
+    off the one norm profile ``counting`` builds."""
+    return counting(f).poisson_constant()
 
 
 def log_gauss_norm(f: MvPoly, rho):

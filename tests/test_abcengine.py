@@ -3,19 +3,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyabc.abcengine import (_circuits, _subsum_gcd_condition, _vanishing,
-                               analyze_block, bm_partition, detect_k, split_vanishing_subsums,
-                               verify_abc_first, verify_abc_second, verify_basic_abc,
-                               verify_corollaries)
+from polyabc.abcengine import (AbcReport, BlockAnalysis, _circuits, _divisibility_ledger,
+                               _subsum_gcd_condition, _vanishing, analyze_block, bm_partition,
+                               detect_k, split_vanishing_subsums, verify_abc_first,
+                               verify_abc_second, verify_basic_abc, verify_corollaries)
 from polyabc.errors import CasError
-from polyabc.fields import RATFUNC_T_ADIC, FieldSpec
-from polyabc.instances import CorpusSpec, field_spec_from_code, generate_corpus
+from polyabc.instances import MAX_POLYS, CorpusSpec, field_spec_from_code, generate_corpus
 from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.nevanlinna import truncated_counting
 from polyabc.wronskian import f_independent, f_rank
 
-from conftest import F2, F3, F3T, F5, Q2, Q3, random_coeff, random_poly
+from conftest import F2, F2T, F3, F3T, F5, Q2, Q3, property_coeff, random_coeff, random_poly
 from test_wronskian import _largest_nonzero_minor
 
 
@@ -100,11 +101,13 @@ def _rank(fs):
 
 
 def _brute_vanishing(fs):
-    """Every vanishing index set, summed as polynomials, in (size, lex) order."""
-    zero = MvPoly.zero(fs[0].spec, fs[0].m)
-    return [sub for size in range(1, len(fs) + 1)
-            for sub in combinations(range(len(fs)), size)
-            if sum((fs[i] for i in sub), zero).is_zero()]
+    """Every vanishing index set, summed as polynomials, in (size, lex) order;
+    each subset's sum is the sum without its last index plus that function."""
+    sums = {(): MvPoly.zero(fs[0].spec, fs[0].m)}
+    for size in range(1, len(fs) + 1):
+        for sub in combinations(range(len(fs)), size):
+            sums[sub] = sums[sub[:-1]] + fs[sub[-1]]
+    return [sub for sub, total in sums.items() if sub and total.is_zero()]
 
 
 def _brute_split(fs):
@@ -118,13 +121,20 @@ def _brute_split(fs):
 
 
 def _brute_circuits(fs):
-    """Dependent index sets whose every one-smaller subset is independent."""
+    """Dependent index sets whose every one-smaller subset is independent,
+    each subset ranked once; none has more than rank + 1 members."""
+    ranks = {}
+
+    def rank(sub):
+        if sub not in ranks:
+            ranks[sub] = _rank([fs[i] for i in sub])
+        return ranks[sub]
+
     out = []
-    for size in range(1, len(fs) + 1):
+    for size in range(1, _rank(fs) + 2):
         for sub in combinations(range(len(fs)), size):
-            sub_fs = [fs[i] for i in sub]
-            if _rank(sub_fs) == size - 1 and all(
-                    _rank(list(kept)) == size - 1 for kept in combinations(sub_fs, size - 1)):
+            if rank(sub) == size - 1 and all(
+                    rank(kept) == size - 1 for kept in combinations(sub, size - 1)):
                 out.append(sub)
     return out
 
@@ -190,7 +200,39 @@ def test_bm_partition_minimality_random():
                 assert J  # bridges are nonempty
 
 
-F2T = FieldSpec(RATFUNC_T_ADIC, 2)
+@st.composite
+def _scan_tuples(draw):
+    """1 to MAX_POLYS functions in one variable of degree <= 4, with repeated
+    rows, planted dependencies and several vanishing blocks: each function is
+    a fresh polynomial, a multiple of an earlier one, a combination of two
+    earlier ones, or the closure that makes the current block sum to zero."""
+    spec = draw(st.sampled_from([Q2, F2, F3, F5, F2T, F3T]))
+    coeff = property_coeff(spec)
+    term = st.tuples(st.tuples(st.integers(0, 4)), coeff)
+    fs, block = [], MvPoly.zero(spec, 1)
+    for _ in range(draw(st.integers(1, MAX_POLYS) | st.just(MAX_POLYS))):
+        how = draw(st.sampled_from(("fresh", "multiple", "combination", "closure")))
+        if how == "closure" and not block.is_zero():
+            fs.append(-block)
+            block = MvPoly.zero(spec, 1)
+            continue
+        if how == "multiple" and fs:
+            f = _times(spec, draw(coeff), draw(st.sampled_from(fs)))
+        elif how == "combination" and len(fs) >= 2:
+            f = (_times(spec, draw(coeff), draw(st.sampled_from(fs)))
+                 + _times(spec, draw(coeff), draw(st.sampled_from(fs))))
+        else:
+            f = MvPoly.from_terms(spec, 1, draw(st.lists(term, max_size=4)))
+        fs.append(f)
+        block = block + f
+    return fs
+
+
+@settings(max_examples=50, deadline=None)
+@given(_scan_tuples())
+def test_property_subset_scans_match_brute_force(fs):
+    assert _vanishing(fs) == _brute_vanishing(fs)
+    assert _circuits(fs) == _brute_circuits(fs)
 
 
 def _coeff_matrices(rng, spec):
@@ -467,6 +509,36 @@ def test_ledger_on_random_instances():
             holds += 1
             assert "divisibility_ledger=ok" in rep.notes
     assert holds >= 3
+
+
+def _ledger(fs, gs, w):
+    rep = AbcReport(instance_id="", check="first")
+    block = BlockAnalysis(indices=list(range(len(fs))), all_constant=False, wronskian_product=w)
+    _divisibility_ledger(rep, fs, [block], dict(enumerate(gs)))
+    return rep
+
+
+def test_ledger_divides_w_by_each_cofactor():
+    # f_j = G_j h_j: F | W * prod G_j iff prod h_j | W
+    z, one = _z(F3), _one(F3)
+    fs = [z ** 3 * (z + one), (z + one) ** 2, z + _c(F3, 2)]
+    gs = [z * (z + one), z + one, one]
+    hs = [z * z, z + one, z + _c(F3, 2)]
+    w = hs[0] * hs[1] * hs[2]
+    assert "divisibility_ledger=ok" in _ledger(fs, gs, w * (z + _c(F3, 2))).notes
+    for short in (hs[0] * hs[1], z * hs[1] * hs[2]):  # a factor of h_2, then of h_0, missing
+        with pytest.raises(CasError) as exc:
+            _ledger(fs, gs, short)
+        assert exc.value.code == "LEDGER_FAILURE"
+        assert str(exc.value) == "block [0, 1, 2]: F does not divide W*G"
+
+
+def test_ledger_rejects_g_not_dividing_f():
+    # W * G = z^2 (z + 1) is divisible by F = z^2, but G = z + 1 does not divide f
+    z, one = _z(Q2), _one(Q2)
+    with pytest.raises(CasError) as exc:
+        _ledger([z * z], [z + one], z * z)
+    assert exc.value.code == "LEDGER_FAILURE"
 
 
 # -- corollaries ----------------------------------------------------------------

@@ -21,8 +21,7 @@ from polyabc.fields import NEG_INFINITY
 from polyabc.hasse import hasse_derivative, multinomial
 from polyabc.instances import CorpusSpec, field_spec_from_code, generate_corpus
 from polyabc.mvpoly import MvPoly, poly_gcd
-from polyabc.nevanlinna import (PiecewiseLinear, counting, norm_profile,
-                                poisson_constant, truncated_counting)
+from polyabc.nevanlinna import PiecewiseLinear, counting, norm_profile, truncated_counting
 from polyabc.oracle import squarefree_factor_oracle
 from polyabc.radicals import (higher_radical, square_free_part, stable_radical_level,
                               trunc_gcd)
@@ -30,7 +29,7 @@ from polyabc.wronskian import f_independent, find_certificate, index_of_independ
 
 from conftest import (ALL_SPECS, F2, F3, F5, Q2, Q3, Q5, random_coeff, random_gamma,
                       random_poly)
-from helpers import d_axis, log_gauss_norm
+from helpers import d_axis, log_gauss_norm, poisson_constant
 
 def _passline(n, msg):
     print(f"ACCEPTANCE {n:02d} PASS: {msg}")

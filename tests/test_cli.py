@@ -100,6 +100,42 @@ def test_counting_with_truncation():
     assert all("truncated" in e for e in doc["entries"])
 
 
+def test_counting_reads_one_norm_profile_per_polynomial(monkeypatch):
+    # the counting data and the Poisson constant of f share one envelope
+    import polyabc.nevanlinna
+    from helpers import poisson_constant
+
+    calls = []
+    norm_profile = polyabc.nevanlinna.norm_profile
+
+    def counted(f):
+        calls.append(f)
+        return norm_profile(f)
+
+    monkeypatch.setattr(polyabc.nevanlinna, "norm_profile", counted)
+    code, out = _run(["counting", "--instance", "instances/sum_char0.json",
+                      "--format", "machine"])
+    entries = json.loads(out)["entries"]
+    assert code == 0 and len(calls) == len(entries) == 3
+    monkeypatch.undo()
+    assert [e["poisson_constant"] for e in entries] == [str(poisson_constant(f)) for f in calls]
+
+
+def test_wronskian_rejects_a_dependent_tuple_before_its_index(monkeypatch):
+    # power_sum_f2 is dependent over F_2 with collection index 3
+    import polyabc.abcengine
+
+    def index(fs):
+        raise AssertionError("index computed for a dependent tuple")
+
+    monkeypatch.setattr(polyabc.abcengine, "collection_independence_index", index)
+    code, out = _run(["wronskian", "--instance", "instances/power_sum_f2.json",
+                      "--format", "machine"])
+    assert code == 1
+    assert json.loads(out) == {"error": "NOT_F_INDEPENDENT",
+                               "message": "functions are linearly dependent over the field"}
+
+
 def test_wronskian_and_independence_commands():
     code, out = _run(["wronskian", "--instance", "instances/basic_char0.json",
                       "--format", "machine"])

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyabc.errors import CasError
-from polyabc.fields import (NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, Coeff, FieldSpec,
-                            _dense_divmod, _fpt_add, _fpt_mul, _ratfunc_canonical, parse_coeff)
+from polyabc.fields import (FIELD_KINDS, NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, Coeff,
+                            FieldSpec, _dense_divmod, _fpt_add, _fpt_mul, _ratfunc_canonical,
+                            clear_denominators, parse_coeff)
 
 from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q5, assert_canonical, property_coeff,
                       random_coeff)
@@ -256,6 +258,40 @@ def test_ring_stays_out_of_spec_identity():
     a, b = FieldSpec(RATFUNC_T_ADIC, 3), FieldSpec(RATFUNC_T_ADIC, 3)
     assert a.ring is not b.ring and a == b and hash(a) == hash(b)
     assert repr(a) == "FieldSpec(kind='ratfunc_t_adic', p=3)" and str(a) == "F_3(t)"
+
+
+def test_field_spec_leaves_no_cyclic_garbage():
+    # the Ring reaches its own gcd through a method, not a closure over itself
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in FIELD_KINDS:
+            ring = FieldSpec(kind, 3).ring
+            assert ring.gcd((ring.one,), ()) == (ring.one,)
+            del ring
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("spec", [F2T, F3T], ids=["F2T", "F3T"])
+def test_clear_denominators_matches_the_lcm(spec):
+    # every numerator times L / den, L the lcm of the denominators, with and
+    # without denominators other than 1
+    p = spec.p
+    rng = random.Random(f"clear-{spec}")
+
+    def lcm(a, b):
+        return ref_fp_divmod(_fpt_mul(a, b, p), ref_fp_gcd(a, b, p), p)[0]
+
+    for _ in range(40):
+        vals = [random_coeff(rng, spec).val for _ in range(rng.randint(1, 6))]
+        for case in (vals, [(num, (1,)) for num, _ in vals]):
+            big = (1,)
+            for _, den in case:
+                big = lcm(big, den)
+            want = [_fpt_mul(num, ref_fp_divmod(big, den, p)[0], p) for num, den in case]
+            assert clear_denominators(spec, case) == want
 
 
 def test_t_degree_guard_rejects_before_allocating():

@@ -9,11 +9,10 @@ from polyabc.abcengine import _max_log_profile
 from polyabc.errors import CasError
 from polyabc.fields import NEG_INFINITY
 from polyabc.mvpoly import MvPoly
-from polyabc.nevanlinna import (PiecewiseLinear, counting, norm_profile, poisson_constant,
-                                truncated_counting)
+from polyabc.nevanlinna import PiecewiseLinear, counting, norm_profile, truncated_counting
 
 from conftest import ALL_SPECS, F3, Q2, Q3, Q5, random_poly
-from helpers import log_gauss_norm
+from helpers import log_gauss_norm, poisson_constant
 
 
 def _z(spec, m=1, i=0):
