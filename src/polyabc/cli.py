@@ -300,27 +300,70 @@ _BODIES = {
 # ---------------------------------------------------------------------------
 # rendering
 
-def _render_text(doc, out):
-    def emit(prefix, value):
-        if isinstance(value, dict):
-            for key in sorted(value):
-                emit(f"{prefix}{key}.", value[key])
-        elif isinstance(value, list):
-            if all(not isinstance(x, (dict, list)) for x in value):
-                out.write(f"{prefix[:-1]}: {' '.join(str(x) for x in value)}\n")
-            else:
-                for i, x in enumerate(value):
-                    emit(f"{prefix}{i}.", x)
+def _emit(prefix, value, out):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _emit(f"{prefix}{key}.", value[key], out)
+    elif isinstance(value, list):
+        if all(not isinstance(x, (dict, list)) for x in value):
+            out.write(f"{prefix[:-1]}: {' '.join(str(x) for x in value)}\n")
         else:
-            out.write(f"{prefix[:-1]}: {value}\n")
+            for i, x in enumerate(value):
+                _emit(f"{prefix}{i}.", x, out)
+    else:
+        out.write(f"{prefix[:-1]}: {value}\n")
 
+
+def _render_text(doc, out):
     for key in ("id", "command", "check", "verdict"):
         if key in doc:
             out.write(f"{key}: {doc[key]}\n")
     for key in sorted(doc):
         if key in ("id", "command", "check", "verdict"):
             continue
-        emit(f"{key}.", doc[key])
+        _emit(f"{key}.", doc[key], out)
+
+
+def _json_parts(value, indent, parts):
+    """Append the text of ``json.dumps(value, sort_keys=True, indent=2)`` to
+    parts, nested at ``indent``; leaves go through ``json.dumps``.  With an
+    indent, ``json.dumps`` takes the pure-Python encoder, whose nested
+    closures refer to each other and leave cyclic garbage on every call."""
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n"
+        for key in sorted(value):
+            # json.dumps writes a key that is not a string as its own text
+            name = json.dumps(key if isinstance(key, str) else json.dumps(key))
+            parts.append(f"{sep}{inner}{name}: ")
+            _json_parts(value[key], inner, parts)
+            sep = ",\n"
+        parts.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n"
+        for x in value:
+            parts.append(sep + inner)
+            _json_parts(x, inner, parts)
+            sep = ",\n"
+        parts.append(f"\n{indent}]")
+    else:
+        parts.append(json.dumps(value))
+
+
+def machine_text(doc) -> str:
+    """The machine report: ``json.dumps(doc, sort_keys=True, indent=2)``
+    and a newline, written without the encoder's cyclic garbage."""
+    parts: list = []
+    _json_parts(doc, "", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def main(argv=None) -> int:
@@ -342,12 +385,12 @@ def main(argv=None) -> int:
     except CasError as exc:
         err = {"error": exc.code, "message": str(exc)}
         if args.format == "machine":
-            sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
+            sys.stdout.write(machine_text(err))
         else:
             sys.stdout.write(f"error: {exc.code}\nmessage: {exc}\n")
         return 1
     if args.format == "machine":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(machine_text(doc))
     else:
         _render_text(doc, sys.stdout)
     return code

@@ -16,7 +16,7 @@ int in [0, p), or a canonical (numerator, denominator) pair over F_p[t] --
 chosen once, so no coefficient operation dispatches on the field kind.
 ``Coeff`` boxes one payload; ``MvPoly`` runs its loops on the payloads.
 The Ring also owns the univariate gcd (``spec.ring.gcd``) on dense tuples of
-payloads: Euclid on one division loop, ``_dense_divmod``, for F_p and F_p(t)
+payloads: Euclid on one division loop, ``Ring.divmod``, for F_p and F_p(t)
 -- the same loop over F_p puts F_p(t) payloads in lowest terms -- and an
 integer primitive remainder sequence for Q.
 """
@@ -106,8 +106,10 @@ def int_log(p: int, x: int) -> int:
 @dataclass(frozen=True)
 class FieldSpec:
     """Which coefficient field the computation runs in.  ``ring`` is its
-    ``Ring``, built here once; it is not a field of the dataclass, so it stays
-    out of equality, hashing and text."""
+    ``Ring``, built here once, and ``dense`` the levels of recursive dense
+    polynomials over it that ``mvpoly.dense_domain`` builds on demand; neither
+    is a field of the dataclass, so they stay out of equality, hashing and
+    text."""
 
     kind: str
     p: int
@@ -118,6 +120,7 @@ class FieldSpec:
         if not is_prime(self.p):
             raise CasError("VALIDATION_ERROR", f"p = {self.p} is not prime")
         object.__setattr__(self, "ring", Ring(self.kind, self.p))
+        object.__setattr__(self, "dense", [])
 
     @property
     def characteristic(self) -> int:
@@ -186,18 +189,20 @@ def _fpt_add(a, b, p):
 
 
 def _fpt_neg(a, p):
-    return tuple((-x) % p for x in a)
+    return tuple([(-x) % p for x in a])
 
 
 def _fpt_mul(a, b, p):
+    """The product over F_p, reduced once per output slot; its leading slot
+    is a product of two units mod p, so nothing needs trimming."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fpt_trim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple([c % p for c in out])
 
 
 def _fpt_ord(a) -> int:
@@ -284,37 +289,77 @@ def _dense_trim(c: list, is_zero) -> tuple:
 
 def _dense_scale(a, c, ring) -> tuple:
     mul = ring.mul
-    return tuple(mul(x, c) for x in a)
+    return tuple([mul(x, c) for x in a])
 
 
-def _dense_divmod(a, b, ring):
-    """Quotient and remainder of the dense polynomials a by b over the field
-    of ``ring``."""
+def _dense_conv(add, mul, is_zero, zero):
+    """The product of dense polynomials over a field with these operations,
+    skipping zero slots.  Its leading slot is a product of two nonzero
+    elements: no trimming."""
+    def conv(a, b):
+        if not a or not b:
+            return ()
+        out = [zero] * (len(a) + len(b) - 1)
+        terms = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+        for i, x in enumerate(a):
+            if not is_zero(x):
+                for j, y in terms:
+                    out[i + j] = add(out[i + j], mul(x, y))
+        return tuple(out)
+    return conv
+
+
+def _dense_divmod(sub, mul, div, is_zero, zero, one):
+    """Quotient and remainder of dense polynomials a by b over a field with
+    these operations, skipping the zero slots of b."""
+    def divmod_(a, b):
+        if not b:
+            raise CasError("DIVISION_BY_ZERO", "polynomial division by zero")
+        db = len(b) - 1
+        if len(a) - 1 < db:
+            return (), tuple(a)
+        inv = div(one, b[-1])
+        low = [(j, y) for j, y in enumerate(b[:db]) if not is_zero(y)]
+        rem = list(a)
+        quo = [zero] * (len(a) - db)
+        for o in range(len(quo) - 1, -1, -1):
+            c = rem[o + db]
+            if not is_zero(c):
+                q = quo[o] = mul(c, inv)
+                for j, y in low:
+                    rem[o + j] = sub(rem[o + j], mul(q, y))
+        # the slots from db up are cancelled by construction
+        return tuple(quo), _dense_trim(rem[:db], is_zero)
+    return divmod_
+
+
+def _fpt_divmod(a, b, p):
+    """Quotient and remainder over F_p; a remainder slot is reduced only when
+    it is read as a leading coefficient and at the end."""
     if not b:
         raise CasError("DIVISION_BY_ZERO", "polynomial division by zero")
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), tuple(a)
-    sub, mul, is_zero = ring.sub, ring.mul, ring.is_zero
-    inv = ring.div(ring.one, b[-1])
+    inv = pow(b[-1], p - 2, p)
+    low = b[:db]
     rem = list(a)
-    quo = [ring.zero] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k]
-        if not is_zero(c):
-            o = k - db
-            q = quo[o] = mul(c, inv)
-            for j, y in enumerate(b, o):
-                rem[j] = sub(rem[j], mul(q, y))
-    # every slot from db up has been cancelled to zero
-    return _dense_trim(quo, is_zero), _dense_trim(rem[:db], is_zero)
+    quo = [0] * (len(a) - db)
+    for o in range(len(quo) - 1, -1, -1):
+        c = rem[o + db] % p
+        if c:
+            q = quo[o] = c * inv % p
+            for j, y in enumerate(low, o):
+                rem[j] -= q * y
+    return tuple(quo), _fpt_trim([x % p for x in rem[:db]])
 
 
 def _dense_gcd(a, b, ring) -> tuple:
     """The monic gcd of dense polynomials over the field of ``ring``, by
     Euclid; () when both are zero."""
+    divmod_ = ring.divmod
     while b:
-        a, b = b, _dense_divmod(a, b, ring)[1]
+        a, b = b, divmod_(a, b)[1]
     return _dense_scale(a, ring.div(ring.one, a[-1]), ring) if a else ()
 
 
@@ -357,7 +402,7 @@ def _q_gcd(a, b) -> tuple:
         a, b = b, a
     while b:
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
-    return tuple(Fraction(x, a[-1]) for x in a) if a else ()
+    return tuple([Fraction(x, a[-1]) for x in a]) if a else ()
 
 
 def _ratfunc_canonical(num, den, base):
@@ -369,8 +414,8 @@ def _ratfunc_canonical(num, den, base):
         return ((), (1,))
     g = _dense_gcd(num, den, base)
     if g != (1,):
-        num = _dense_divmod(num, g, base)[0]
-        den = _dense_divmod(den, g, base)[0]
+        num = base.divmod(num, g)[0]
+        den = base.divmod(den, g)[0]
     if den[-1] != 1:
         inv = base.div(1, den[-1])
         num, den = _dense_scale(num, inv, base), _dense_scale(den, inv, base)
@@ -386,8 +431,8 @@ def clear_denominators(spec: FieldSpec, vals) -> list:
     p, base = spec.p, spec.ring.base
     den = (1,)
     for _, d in vals:
-        den = _dense_divmod(_fpt_mul(den, d, p), _dense_gcd(den, d, base), base)[0]
-    return [_fpt_mul(n, _dense_divmod(den, d, base)[0], p) for n, d in vals]
+        den = base.divmod(_fpt_mul(den, d, p), _dense_gcd(den, d, base))[0]
+    return [_fpt_mul(n, base.divmod(den, d)[0], p) for n, d in vals]
 
 
 class Ring:
@@ -395,18 +440,22 @@ class Ring:
 
     ``add``, ``sub``, ``neg``, ``mul`` and ``div`` (by a nonzero payload) take
     and return canonical payloads; ``is_zero`` tests one; ``zero`` and ``one``
-    are the payloads of 0 and 1.  ``gcd`` takes two dense polynomials (tuples
-    of payloads, ascending powers, no trailing zeros) and returns their monic
-    gcd: Euclid over the field for F_p and F_p(t) (``euclid``), an integer
-    primitive remainder sequence over Q.  ``gcd`` is a method, so a Ring holds
-    no reference to itself and is freed with its FieldSpec without waiting for
-    the cyclic collector.  The F_p(t) ring keeps the Ring of F_p as
-    ``base`` for its numerators and denominators.  Over F_p(t), sums and
-    products of two polynomials (denominator 1) are canonical as they stand
-    and skip ``_ratfunc_canonical``.
+    are the payloads of 0 and 1.  ``conv``, ``divmod`` and ``gcd`` take two
+    dense polynomials (tuples of payloads, ascending powers, no trailing
+    zeros): ``conv`` returns their product and ``divmod`` their quotient and
+    remainder, over F_p both reduced mod p once per slot rather than once per
+    step; ``gcd`` returns their monic gcd: Euclid over the field for F_p and
+    F_p(t) (``euclid``), an integer primitive remainder sequence over Q.
+    ``gcd`` is a method, so a Ring holds no reference to itself and is freed
+    with its FieldSpec without waiting for the cyclic collector.  The F_p(t)
+    ring keeps the Ring of F_p as ``base`` for its numerators and
+    denominators.  Over F_p(t), sums and products of two polynomials
+    (denominator 1) are canonical as they stand and skip
+    ``_ratfunc_canonical``.
     """
 
-    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero", "euclid", "base")
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero", "conv", "divmod",
+                 "euclid", "base")
 
     def __init__(self, kind: str, p: int):
         self.is_zero = operator.not_
@@ -448,6 +497,13 @@ class Ring:
             self.neg = lambda a: (_fpt_neg(a[0], p), a[1])
             self.sub = lambda a, b: add(a, (_fpt_neg(b[0], p), b[1]))
             self.is_zero = lambda a: not a[0]
+        if kind == PRIME_FIELD:
+            self.conv = lambda a, b: _fpt_mul(a, b, p)
+            self.divmod = lambda a, b: _fpt_divmod(a, b, p)
+        else:
+            self.conv = _dense_conv(self.add, self.mul, self.is_zero, self.zero)
+            self.divmod = _dense_divmod(self.sub, self.mul, self.div, self.is_zero, self.zero,
+                                        self.one)
 
     def gcd(self, a, b) -> tuple:
         return _dense_gcd(a, b, self) if self.euclid else _q_gcd(a, b)

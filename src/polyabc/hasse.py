@@ -68,12 +68,6 @@ def hasse_derivative(f: MvPoly, gamma: Monomial) -> MvPoly:
     return MvPoly(spec, f.m, terms)
 
 
-def partial_derivative(f: MvPoly, j: int) -> MvPoly:
-    """The formal partial in variable j (equals the weight-1 Hasse derivative)."""
-    gamma = tuple(1 if i == j else 0 for i in range(f.m))
-    return hasse_derivative(f, gamma)
-
-
 def exponents_divisible(f: MvPoly, s: int) -> bool:
     """True when every exponent of f is componentwise divisible by p^s.
 

@@ -1,19 +1,27 @@
-"""Sparse multivariate polynomials over a FieldSpec.
+"""Sparse multivariate polynomials over a FieldSpec, and the recursive dense
+kernel behind their gcd and square-free decomposition.
 
 Terms live in a dict mapping exponent tuples to nonzero coefficients; the
 canonical term order everywhere (leading terms, serialization) is graded
 lexicographic, descending.  ``+``, ``-``, ``*``, ``scale`` and ``exact_div``
 run their loops on raw coefficient payloads through the field's ``Ring``
 (``spec.ring``), binding its functions once per call, and box to ``Coeff``
-only the terms they store.  gcd works by recursive content / primitive-part
-reduction with a subresultant remainder sequence in the highest present
-variable; when only one variable occurs it is the field Ring's univariate
-``gcd`` on dense payload tuples.
+only the terms they store.
+
+``poly_gcd`` converts its arguments once (``to_dense``) to recursive dense
+elements: nested tuples with one level per variable that occurs, the highest
+variable outermost and Ring payloads at the leaves.  ``DenseLevel`` holds the
+operations of one level, built once per (field, level) by ``dense_domain``:
+at one variable the field Ring's ``conv`` and univariate ``gcd``; above it
+the subresultant remainder sequence in that level's variable, with contents
+by the gcd of the level below.  The gcd is converted back once
+(``from_dense``) and normalized to graded-lex leading coefficient 1.
+``radicals.square_free_decomposition`` runs Yun's loop on the same elements.
 """
 
 from __future__ import annotations
 
-from operator import add as _plus, sub as _minus
+from operator import add as _plus, not_, sub as _minus
 
 from .errors import CasError, NotDivisible
 from .fields import Coeff, FieldSpec, same_spec
@@ -88,11 +96,6 @@ class MvPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise CasError("ZERO_POLY", "minimum degree of the zero polynomial")
-        return min(sum(e) for e in self.terms)
 
     def degree_in(self, v: int) -> int:
         if not self.terms:
@@ -263,123 +266,312 @@ def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery
+# recursive dense polynomials
+#
+# A polynomial in its present variables v_0 < ... < v_k is an element of level
+# k + 1: a level-d element (d >= 1) is the tuple of its level-(d-1)
+# coefficients of v_{d-1}^0, v_{d-1}^1, ..., without trailing zeros (zero is
+# ()), and a level-0 element is a Ring payload.  The outermost level is v_k,
+# the main variable of the gcd.  Tuples are built from lists (see the
+# free-list note in abcengine).
 
-def _present_vars(f: MvPoly, g: MvPoly):
-    out = []
-    for v in range(f.m):
-        if f.degree_in(v) > 0 or g.degree_in(v) > 0:
-            out.append(v)
-    return out
+def present_vars(*fs) -> list:
+    """The variables that occur in any of the fs, ascending."""
+    return [v for v in range(fs[0].m) if any(e[v] for f in fs for e in f.terms)]
 
 
-def _dense(f: MvPoly, v: int) -> tuple:
-    """f, in which only z_v occurs, as a dense tuple of payloads in z_v."""
-    out = [f.spec.ring.zero] * (f.degree_in(v) + 1)
-    for e, c in f.terms.items():
-        out[e[v]] = c.val
+def to_dense(f: MvPoly, vs):
+    """f as an element of level len(vs) >= 1 in the variables vs, which hold
+    every variable of f."""
+    if not f.terms:
+        return ()
+    return _nest([(e, c.val) for e, c in f.terms.items()], vs, len(vs), f.spec.ring.zero)
+
+
+def _nest(items, vs, d, zero):
+    v = vs[d - 1]
+    if d == 1:
+        out = [zero] * (max([e[v] for e, _ in items]) + 1)
+        for e, c in items:
+            out[e[v]] = c
+        return tuple(out)
+    buckets = [None] * (max([e[v] for e, _ in items]) + 1)
+    for item in items:
+        k = item[0][v]
+        if buckets[k] is None:
+            buckets[k] = [item]
+        else:
+            buckets[k].append(item)
+    return tuple([() if b is None else _nest(b, vs, d - 1, zero) for b in buckets])
+
+
+def from_dense(spec: FieldSpec, m: int, vs, a) -> MvPoly:
+    """The MvPoly of the level-len(vs) element a in the variables vs, its terms
+    in graded-lex descending order, the order ``exact_div`` builds."""
+    items: list = []
+    _flatten(a, len(vs), vs, [0] * m, items, spec.ring.is_zero)
+    if len(vs) > 1:  # one variable comes out in descending degree already
+        items.sort(key=lambda item: grlex_key(item[0]), reverse=True)
+    return MvPoly(spec, m, {e: Coeff(spec, c) for e, c in items})
+
+
+def _flatten(a, d, vs, e, out, is_zero):
+    v = vs[d - 1]
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        e[v] = k
+        if d > 1:
+            if c:
+                _flatten(c, d - 1, vs, e, out, is_zero)
+        elif not is_zero(c):
+            out.append((tuple(e), c))
+    e[v] = 0
+
+
+def _trimmed(out: list, is_zero) -> tuple:
+    while out and is_zero(out[-1]):
+        out.pop()
     return tuple(out)
 
 
-def _from_dense(spec: FieldSpec, m: int, v: int, coeffs) -> MvPoly:
-    is_zero = spec.ring.is_zero
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if not is_zero(c):
-            e = [0] * m
-            e[v] = i
-            terms[tuple(e)] = Coeff(spec, c)
-    return MvPoly(spec, m, terms)
+def dense_is_const(a, d: int) -> bool:
+    """Whether the level-d element a is a constant (zero included)."""
+    while d:
+        if len(a) != 1:
+            return not a
+        a = a[0]
+        d -= 1
+    return True
 
 
-def _gcd_single_var(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
-    spec = f.spec
-    return _from_dense(spec, f.m, v, spec.ring.gcd(_dense(f, v), _dense(g, v)))
+def dense_partial(a, d: int, j: int, ring):
+    """The derivative of the level-d element a in the variable of level
+    j + 1 <= d; ``ring`` is its field's Ring."""
+    if j < d - 1:
+        return _trimmed([dense_partial(c, d - 1, j, ring) for c in a], not_)
+    add, mul, one, is_zero = ring.add, ring.mul, ring.one, ring.is_zero
+    out, k = [], one
+    for c in a[1:]:
+        out.append(_times(c, d - 1, k, mul) if not is_zero(k) else ring.zero if d == 1 else ())
+        k = add(k, one)
+    return _trimmed(out, is_zero if d == 1 else not_)
 
 
-def _split_main(f: MvPoly, v: int) -> dict:
-    """View f as a univariate polynomial in z_v with MvPoly coefficients."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        d = e[v]
-        ee = e[:v] + (0,) + e[v + 1:]
-        coeff = out.get(d)
-        if coeff is None:
-            out[d] = {ee: c}
+def _times(a, d, s, mul):
+    """The level-d element a times the nonzero payload s."""
+    if not d:
+        return mul(a, s)
+    return tuple([_times(c, d - 1, s, mul) for c in a])
+
+
+class DenseLevel:
+    """The operations on level-d elements over one field, built once per
+    (field, d) by ``dense_domain``: ``add``, ``sub``, ``neg``, ``mul``,
+    ``pow``, ``scale`` (by a level-(d-1) element), ``exquo`` (the exact
+    quotient; NotDivisible when the remainder is not zero) and ``gcd`` (the
+    gcd whose lex-leading leaf is 1).  ``one`` is the element 1.
+
+    Level 1 multiplies and takes gcds through the field's Ring (``conv`` and
+    ``gcd``).  Level d > 1 runs the subresultant remainder sequence in its
+    own variable over level d - 1, whose gcd gives the contents.  The
+    operations are closures over the level below, never over this object, so
+    the levels hold no reference cycle.
+    """
+
+    __slots__ = ("depth", "one", "add", "sub", "neg", "mul", "pow", "scale", "exquo", "gcd")
+
+    def __init__(self, ring, inner: "DenseLevel | None"):
+        d = self.depth = 1 if inner is None else inner.depth + 1
+        if inner is None:
+            ione = ring.one
+            iadd, isub, ineg, imul, is_zero = ring.add, ring.sub, ring.neg, ring.mul, ring.is_zero
         else:
-            coeff[ee] = c
-    return {d: MvPoly(f.spec, f.m, t) for d, t in out.items()}
+            ione = inner.one
+            iadd, isub, ineg, imul, is_zero = inner.add, inner.sub, inner.neg, inner.mul, not_
+            iexquo, igcd, ipow = inner.exquo, inner.gcd, inner.pow
+        one = self.one = (ione,)
 
+        def add(a, b):
+            if len(a) < len(b):
+                a, b = b, a
+            if not b:
+                return a
+            out = [iadd(x, y) for x, y in zip(a, b)]
+            if len(a) > len(b):
+                out += a[len(b):]
+                return tuple(out)
+            return _trimmed(out, is_zero)
 
-def _join_main(spec: FieldSpec, m: int, v: int, coeffs: dict) -> MvPoly:
-    terms: dict = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            terms[e[:v] + (d,) + e[v + 1:]] = c
-    return MvPoly(spec, m, terms)
-
-
-def _main_deg(A: dict) -> int:
-    return max(A) if A else -1
-
-
-def _main_mul_poly(A: dict, q: MvPoly) -> dict:
-    out = {}
-    for d, c in A.items():
-        prod = c * q
-        if not prod.is_zero():
-            out[d] = prod
-    return out
-
-
-def _main_sub(A: dict, B: dict) -> dict:
-    out = dict(A)
-    for d, c in B.items():
-        if d in out:
-            s = out[d] - c
-            if s.is_zero():
-                del out[d]
+        def sub(a, b):
+            if not b:
+                return a
+            la, lb = len(a), len(b)
+            out = [isub(x, y) for x, y in zip(a, b)]
+            if la > lb:
+                out += a[lb:]
+            elif la < lb:
+                out += [ineg(y) for y in b[la:]]
             else:
-                out[d] = s
+                return _trimmed(out, is_zero)
+            return tuple(out)
+
+        def neg(a):
+            return tuple([ineg(x) for x in a])
+
+        def scale(a, c):
+            return tuple([imul(x, c) for x in a])
+
+        if inner is None:
+            mul, ring_gcd, divmod_ = ring.conv, ring.gcd, ring.divmod
+
+            def gcd(a, b):
+                return one if len(a) == 1 or len(b) == 1 else ring_gcd(a, b)
+
+            def exquo(a, b):
+                quo, rem = divmod_(a, b)
+                if rem:
+                    raise NotDivisible("nonzero remainder in an exact quotient")
+                return quo
         else:
-            out[d] = -c
-    return out
+            def mul(a, b):
+                if not a or not b:
+                    return ()
+                out = [()] * (len(a) + len(b) - 1)
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b, i):
+                            if y:
+                                out[j] = iadd(out[j], imul(x, y))
+                return tuple(out)  # the leading slot is a product of nonzero elements
+
+            def exquo(a, b):
+                if not a:
+                    return a
+                db = len(b) - 1
+                if len(a) <= db:
+                    raise NotDivisible("nonzero remainder in an exact quotient")
+                lc, rem = b[-1], list(a)
+                quo = [()] * (len(a) - db)
+                for o in range(len(quo) - 1, -1, -1):
+                    c = rem[o + db]
+                    if c:
+                        # q * lc == c exactly, so slot o + db is left as it is
+                        q = quo[o] = iexquo(c, lc)
+                        for j in range(db):
+                            if b[j]:
+                                rem[o + j] = isub(rem[o + j], imul(q, b[j]))
+                if any(rem[:db]):
+                    raise NotDivisible("nonzero remainder in an exact quotient")
+                return tuple(quo)
+
+            def primitive(a):
+                """The gcd of a's coefficients (None when it is a constant)
+                and a divided by it."""
+                cont = None
+                for c in a:
+                    if c:
+                        cont = c if cont is None else igcd(cont, c)
+                        if dense_is_const(cont, d - 1):
+                            return None, a
+                return cont, tuple([iexquo(c, cont) for c in a])
+
+            def prem(a, b):
+                """lc(b)^(deg a - deg b + 1) * a  mod  b."""
+                db, lc = len(b) - 1, b[-1]
+                r, e = list(a), len(a) - db
+                while len(r) > db:
+                    o = len(r) - 1 - db
+                    lr = r.pop()  # cancels against lc * b
+                    r = [imul(x, lc) for x in r]
+                    for j in range(db):
+                        if b[j]:
+                            r[o + j] = isub(r[o + j], imul(lr, b[j]))
+                    while r and not r[-1]:
+                        r.pop()
+                    e -= 1
+                if e > 0 and r:
+                    q = ipow(lc, e)
+                    r = [imul(x, q) for x in r]
+                return tuple(r)
+
+            def gcd(a, b):
+                if not a or not b:
+                    return monic(a or b)
+                if dense_is_const(a, d) or dense_is_const(b, d):
+                    return one
+                if len(a) == 1 or len(b) == 1:
+                    # one side is free of this level's variable: the gcd
+                    # divides its content
+                    if len(b) == 1:
+                        a, b = b, a
+                    c = a[0]
+                    for y in b:
+                        if y:
+                            c = igcd(c, y)
+                            if dense_is_const(c, d - 1):
+                                return one
+                    return (c,)
+                ca, a = primitive(a)
+                cb, b = primitive(b)
+                cont = None if ca is None or cb is None else igcd(ca, cb)
+                if len(a) < len(b):
+                    a, b = b, a
+                # subresultant remainder sequence on the primitive parts
+                g = h = ione
+                while True:
+                    delta = len(a) - len(b)
+                    r = prem(a, b)
+                    if not r:
+                        result = primitive(b)[1]
+                        break
+                    if len(r) == 1:
+                        result = one
+                        break
+                    div = imul(g, ipow(h, delta))
+                    a, b = b, r if div == ione else tuple([iexquo(x, div) for x in r])
+                    g = a[-1]
+                    if delta:
+                        h = iexquo(ipow(g, delta), ipow(h, delta - 1)) if delta > 1 else g
+                return monic(result if cont is None else scale(result, cont))
+
+            leaf_one, leaf_mul, leaf_div = ring.one, ring.mul, ring.div
+
+            def monic(a):
+                """a scaled so that its lex-leading leaf is 1: over F_p(t) and
+                Q a remainder sequence leaves a large constant factor, which
+                would ride along through every later product and quotient."""
+                lc = a
+                for _ in range(d):
+                    lc = lc[-1]
+                return a if lc == leaf_one else _times(a, d, leaf_div(leaf_one, lc), leaf_mul)
+
+        def pow(a, n):
+            out = one
+            while n:
+                if n & 1:
+                    out = mul(out, a)
+                n >>= 1
+                if n:
+                    a = mul(a, a)
+            return out
+
+        self.add, self.sub, self.neg, self.mul, self.pow = add, sub, neg, mul, pow
+        self.scale, self.exquo, self.gcd = scale, exquo, gcd
 
 
-def _prem(A: dict, B: dict, v: int) -> dict:
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A  mod  B, in the main variable."""
-    dB = _main_deg(B)
-    lcB = B[dB]
-    R = dict(A)
-    e = _main_deg(A) - dB + 1
-    while R and _main_deg(R) >= dB:
-        dR = _main_deg(R)
-        lcR = R[dR]
-        shifted = {d + dR - dB: c * lcR for d, c in B.items()}
-        R = _main_sub(_main_mul_poly(R, lcB), shifted)
-        R.pop(dR, None)
-        e -= 1
-    if e > 0:
-        q = lcB ** e
-        R = _main_mul_poly(R, q)
-    return R
-
-
-def _content_and_pp(A: dict):
-    """gcd of the main-variable coefficients and the primitive part."""
-    cont = None
-    for d in sorted(A):
-        cont = A[d] if cont is None else poly_gcd(cont, A[d])
-        if cont.is_constant():
-            break
-    if cont.is_constant():
-        spec = cont.spec
-        return MvPoly.one(spec, cont.m), dict(A)
-    return cont, {d: exact_div(c, cont) for d, c in A.items()}
+def dense_domain(spec: FieldSpec, d: int) -> DenseLevel:
+    """The level-d operations over spec's field, built on first use and kept
+    with the spec (``spec.dense``)."""
+    levels = spec.dense
+    while len(levels) < d:
+        levels.append(DenseLevel(spec.ring, levels[-1] if levels else None))
+    return levels[d - 1]
 
 
 def poly_gcd(f: MvPoly, g: MvPoly) -> MvPoly:
-    """A gcd of f and g, normalized to graded-lex leading coefficient 1."""
+    """A gcd of f and g, normalized to graded-lex leading coefficient 1: the
+    recursive dense gcd in the variables that occur, converted once each
+    way."""
     f._check(g)
     if f.is_zero() and g.is_zero():
         raise CasError("BOTH_ZERO", "gcd(0, 0) is undefined")
@@ -389,44 +581,9 @@ def poly_gcd(f: MvPoly, g: MvPoly) -> MvPoly:
         return f.normalized()
     if f.is_constant() or g.is_constant():
         return MvPoly.one(f.spec, f.m)
-    fv = _present_vars(f, g)
-    if len(fv) == 1:
-        return _gcd_single_var(f, g, fv[0])
-    v = fv[-1]
-    if f.degree_in(v) == 0 or g.degree_in(v) == 0:
-        # one side is free of the main variable: gcd divides its content
-        A = f if f.degree_in(v) == 0 else g
-        B = g if f.degree_in(v) == 0 else f
-        cont = None
-        for _, c in _split_main(B, v).items():
-            cont = c if cont is None else poly_gcd(cont, c)
-            if cont.is_constant():
-                return MvPoly.one(f.spec, f.m)
-        return poly_gcd(A, cont)
-    A = _split_main(f, v)
-    B = _split_main(g, v)
-    contA, A = _content_and_pp(A)
-    contB, B = _content_and_pp(B)
-    cont = poly_gcd(contA, contB)
-    if _main_deg(A) < _main_deg(B):
-        A, B = B, A
-    # subresultant remainder sequence on the primitive parts
-    one = MvPoly.one(f.spec, f.m)
-    gprev, h = one, one
-    while True:
-        delta = _main_deg(A) - _main_deg(B)
-        R = _prem(A, B, v)
-        if not R:
-            _, pp = _content_and_pp(B)
-            result = _join_main(f.spec, f.m, v, pp)
-            break
-        if _main_deg(R) == 0:
-            result = one
-            break
-        divisor = gprev * (h ** delta)
-        A = B
-        B = {d: exact_div(c, divisor) for d, c in R.items()}
-        gprev = A[_main_deg(A)]
-        if delta > 0:
-            h = exact_div(gprev ** delta, h ** (delta - 1)) if delta > 1 else gprev
-    return (cont * result).normalized()
+    vs = present_vars(f, g)
+    d = len(vs)
+    h = dense_domain(f.spec, d).gcd(to_dense(f, vs), to_dense(g, vs))
+    if dense_is_const(h, d):
+        return MvPoly.one(f.spec, f.m)
+    return from_dense(f.spec, f.m, vs, h).normalized()

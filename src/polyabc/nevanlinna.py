@@ -104,10 +104,6 @@ class PiecewiseLinear:
         return self.values[i] + self.slopes[i] * (rho - self.breakpoints[i])
 
     @property
-    def initial_slope(self) -> Fraction:
-        return self.slopes[0]
-
-    @property
     def final_slope(self) -> Fraction:
         return self.slopes[-1]
 
@@ -141,12 +137,6 @@ class PiecewiseLinear:
             return PiecewiseLinear.line(0, 0)
         return PiecewiseLinear(list(self.breakpoints), [s * q for s in self.slopes],
                                self.value(ref) * q)
-
-    def is_nonnegative(self) -> bool:
-        if not self.breakpoints:
-            return self.slopes[0] == 0 and self.anchor >= 0
-        return (all(v >= 0 for v in self.values)
-                and self.slopes[0] <= 0 and self.slopes[-1] >= 0)
 
     def __eq__(self, other):
         if not isinstance(other, PiecewiseLinear):
@@ -186,17 +176,6 @@ class CountingData:
         if gap.breakpoints or gap.slopes[0] != 0:
             raise CasError("NOT_CONSTANT", f"counting/norm gap is not constant: {gap!r}")
         return gap.anchor
-
-    def n_at(self, rho) -> int:
-        """Right-continuous step value at rho."""
-        rho = Fraction(rho)
-        i = 0
-        for b in self.breakpoints:
-            if rho >= b:
-                i += 1
-            else:
-                break
-        return self.n_values[i]
 
 
 def norm_profile(f: MvPoly) -> PiecewiseLinear:

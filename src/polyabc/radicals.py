@@ -1,7 +1,9 @@
 """Radicals, higher p^s-radicals, the square-free part and its truncations.
 
 All are read off one square-free decomposition f = c * prod a_i^i, with
-squarefree, pairwise coprime a_i (Yun's algorithm in all variables at once).
+squarefree, pairwise coprime a_i (Yun's algorithm in all variables at once,
+on the recursive dense elements of ``mvpoly``: derivatives, gcds and exact
+quotients never leave them, and only the a_i become ``MvPoly`` values).
 g = gcd(f, df/dz_1, ..., df/dz_m) leaves the radical f / g, the factors whose
 multiplicity p does not divide; peeling it off g layer by layer gives those
 a_i.  What g keeps is v^p, and v's decomposition, its multiplicities scaled
@@ -20,25 +22,32 @@ from __future__ import annotations
 
 from .errors import CasError
 from .fields import int_log
-from .hasse import partial_derivative, poly_pth_root
-from .mvpoly import MvPoly, exact_div, poly_gcd
+from .hasse import poly_pth_root
+from .mvpoly import (MvPoly, dense_domain, dense_is_const, dense_partial, exact_div, from_dense,
+                     poly_gcd, present_vars, to_dense)
 
 
-def _derivative_gcd(f: MvPoly) -> MvPoly:
-    """gcd(f, df/dz_1, ..., df/dz_m), chained."""
-    g = f
-    for j in range(f.m):
-        if g.is_constant():
+def _derivative_gcd(f: MvPoly):
+    """f and gcd(f, df/dz_1, ..., df/dz_m) as recursive dense elements in the
+    variables vs of f, with their level."""
+    vs = present_vars(f)
+    level = dense_domain(f.spec, len(vs))
+    F = g = to_dense(f, vs)
+    for j in range(len(vs)):
+        if dense_is_const(g, level.depth):
             break
-        g = poly_gcd(g, partial_derivative(f, j))
-    return g
+        g = level.gcd(g, dense_partial(F, level.depth, j, f.spec.ring))
+    return vs, level, F, g
 
 
 def radical(f: MvPoly) -> MvPoly:
     """f / gcd(f, df/dz_1, ..., df/dz_m), graded-lex monic."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical of the zero polynomial")
-    return exact_div(f, _derivative_gcd(f)).normalized()
+    if f.is_constant():
+        return MvPoly.one(f.spec, f.m)
+    vs, level, F, g = _derivative_gcd(f)
+    return from_dense(f.spec, f.m, vs, level.exquo(F, g)).normalized()
 
 
 def square_free_decomposition(f: MvPoly, top: int) -> tuple:
@@ -46,24 +55,31 @@ def square_free_decomposition(f: MvPoly, top: int) -> tuple:
     p^(top+1) does not divide (every i in characteristic 0), in increasing i.
 
     The a_i are squarefree, pairwise coprime and graded-lex monic; only
-    nonconstant ones are listed."""
+    nonconstant ones are listed.  Yun's loop runs on recursive dense elements;
+    only the a_i, and the v with g = v^p that it leaves, become MvPolys."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "square-free decomposition of the zero polynomial")
-    g = _derivative_gcd(f)
-    w = exact_div(f, g)
+    if f.is_constant():
+        return ()
+    vs, level, F, g = _derivative_gcd(f)
+    d, spec = level.depth, f.spec
+    w = level.exquo(F, g)
+    moving = not dense_is_const(w, d)  # some partial derivative of f is nonzero
     parts = []
     i = 1
-    while not w.is_constant():
-        y = poly_gcd(w, g)
-        a = exact_div(w, y)
-        if not a.is_constant():
-            parts.append((i, a.normalized()))
-        w, g = y, exact_div(g, y)
+    while not dense_is_const(w, d):
+        y = level.gcd(w, g)
+        a = level.exquo(w, y)
+        if not dense_is_const(a, d):
+            parts.append((i, from_dense(spec, f.m, vs, a).normalized()))
+        w, g = y, level.exquo(g, y)
         i += 1
-    if top > 0 and not g.is_constant():
-        p = f.spec.characteristic
+    if top > 0 and not dense_is_const(g, d):
+        # when every partial derivative of f vanishes, g is f, and
+        # poly_pth_root reads f's terms in f's own order
+        g = from_dense(spec, f.m, vs, g) if moving else f
         deeper = square_free_decomposition(poly_pth_root(g.normalized(), 1), top - 1)
-        parts += [(p * j, a) for j, a in deeper]
+        parts += [(spec.characteristic * j, a) for j, a in deeper]
     return tuple(sorted(parts, key=lambda part: part[0]))
 
 

@@ -5,14 +5,22 @@ for the text form that ``MvPoly.__str__`` prints, and term-by-term ``Coeff``
 loops for +, -, * and exact division, the reference for ``MvPoly``'s
 payload kernels, and two univariate gcds written apart from ``fields``: an
 F_p[t] Euclid on ints mod p and a Euclid on lists of ``Coeff``, the
-references for ``Ring.gcd`` and ``_dense_divmod``, and the collection index
+references for ``Ring.gcd`` and ``Ring.divmod``, and the collection index
 of independence by one level search per field basis, the reference for
-``collection_independence_index``.
+``collection_independence_index``, and the subresultant gcd and Yun's
+square-free decomposition on ``MvPoly`` values, the references for the
+recursive dense kernel behind ``poly_gcd`` and ``square_free_decomposition``.
+Functions that only the tests call live here too: ``partial_derivative``,
+and the former methods ``min_degree``, ``initial_slope``, ``is_nonnegative``
+and ``n_at``.
 
     from helpers import d_axis, frobenius_power, log_gauss_norm, poisson_constant, poly_from_text
+    from helpers import partial_derivative
     from helpers import ref_add, ref_exact_div, ref_mul, ref_sub
     from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
     from helpers import independent_over_power_subfield, ref_collection_index
+    from helpers import ref_poly_gcd, ref_square_free_decomposition
+    from helpers import initial_slope, is_nonnegative, min_degree, n_at
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from itertools import combinations
 
 from polyabc.errors import CasError, NotDivisible, ParseError
 from polyabc.fields import NEG_INFINITY, Coeff, FieldSpec, parse_coeff
-from polyabc.hasse import hasse_derivative
-from polyabc.mvpoly import MvPoly, grlex_key
+from polyabc.hasse import hasse_derivative, poly_pth_root
+from polyabc.mvpoly import MvPoly, exact_div, grlex_key
 from polyabc.nevanlinna import counting
 from polyabc.wronskian import _component_matrix, f_independent, f_rank, poly_matrix_rank
 
@@ -32,6 +40,13 @@ def d_axis(f: MvPoly, j: int, k: int) -> MvPoly:
     """Hasse derivative of order k along the single axis j."""
     gamma = tuple(k if i == j else 0 for i in range(f.m))
     return hasse_derivative(f, gamma)
+
+
+def partial_derivative(f: MvPoly, j: int) -> MvPoly:
+    """The formal partial derivative in variable j, term by term."""
+    return MvPoly.from_terms(f.spec, f.m, [
+        (e[:j] + (e[j] - 1,) + e[j + 1:], c * f.spec.from_int(e[j]))
+        for e, c in f.terms.items() if e[j]])
 
 
 def frobenius_power(f: MvPoly, s: int) -> MvPoly:
@@ -281,3 +296,214 @@ def ref_collection_index(fs) -> int:
             s += 1
         best = max(best, s)
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference gcd and square-free decomposition on MvPoly values: the
+# subresultant remainder sequence with MvPoly coefficients in the highest
+# present variable, and Yun's loop over it
+
+def _present_vars(f: MvPoly, g: MvPoly):
+    return [v for v in range(f.m) if f.degree_in(v) > 0 or g.degree_in(v) > 0]
+
+
+def _split_main(f: MvPoly, v: int) -> dict:
+    """f as a univariate polynomial in z_v with MvPoly coefficients."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return {d: MvPoly(f.spec, f.m, t) for d, t in out.items()}
+
+
+def _join_main(spec: FieldSpec, m: int, v: int, coeffs: dict) -> MvPoly:
+    terms: dict = {}
+    for d, poly in coeffs.items():
+        for e, c in poly.terms.items():
+            terms[e[:v] + (d,) + e[v + 1:]] = c
+    return MvPoly(spec, m, terms)
+
+
+def _main_deg(A: dict) -> int:
+    return max(A) if A else -1
+
+
+def _main_mul_poly(A: dict, q: MvPoly) -> dict:
+    out = {}
+    for d, c in A.items():
+        prod = c * q
+        if not prod.is_zero():
+            out[d] = prod
+    return out
+
+
+def _main_sub(A: dict, B: dict) -> dict:
+    out = dict(A)
+    for d, c in B.items():
+        s = out[d] - c if d in out else -c
+        if s.is_zero():
+            out.pop(d, None)
+        else:
+            out[d] = s
+    return out
+
+
+def _prem(A: dict, B: dict) -> dict:
+    """Pseudo-remainder: lc(B)^(degA-degB+1) * A  mod  B, in the main variable."""
+    dB = _main_deg(B)
+    lcB = B[dB]
+    R = dict(A)
+    e = _main_deg(A) - dB + 1
+    while R and _main_deg(R) >= dB:
+        dR = _main_deg(R)
+        lcR = R[dR]
+        shifted = {d + dR - dB: c * lcR for d, c in B.items()}
+        R = _main_sub(_main_mul_poly(R, lcB), shifted)
+        R.pop(dR, None)
+        e -= 1
+    if e > 0:
+        R = _main_mul_poly(R, lcB ** e)
+    return R
+
+
+def _content_and_pp(A: dict):
+    """gcd of the main-variable coefficients and the primitive part."""
+    cont = None
+    for d in sorted(A):
+        cont = A[d] if cont is None else ref_poly_gcd(cont, A[d])
+        if cont.is_constant():
+            return MvPoly.one(cont.spec, cont.m), dict(A)
+    return cont, {d: exact_div(c, cont) for d, c in A.items()}
+
+
+def _univariate_gcd(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
+    spec = f.spec
+
+    def dense(h):
+        out = [spec.zero()] * (h.degree_in(v) + 1)
+        for e, c in h.terms.items():
+            out[e[v]] = c
+        return out
+
+    exps = [0] * f.m
+    terms = []
+    for i, c in enumerate(ref_coeff_gcd(dense(f), dense(g))):
+        exps[v] = i
+        terms.append((tuple(exps), c))
+    return MvPoly.from_terms(spec, f.m, terms)
+
+
+def _grlex_ordered(f: MvPoly) -> MvPoly:
+    return MvPoly(f.spec, f.m, dict(f.sorted_terms()))
+
+
+def ref_poly_gcd(f: MvPoly, g: MvPoly) -> MvPoly:
+    """A gcd of f and g, normalized to graded-lex leading coefficient 1: a
+    subresultant remainder sequence on MvPoly coefficients in the highest
+    present variable, a boxed Euclid when one variable is present.  A gcd it
+    computes lists its terms in graded-lex descending order, as ``poly_gcd``
+    does; only a ``NOT_A_POWER`` message can tell term orders apart."""
+    f._check(g)
+    if f.is_zero() and g.is_zero():
+        raise CasError("BOTH_ZERO", "gcd(0, 0) is undefined")
+    if f.is_zero() or g.is_zero():
+        return (f if g.is_zero() else g).normalized()
+    if f.is_constant() or g.is_constant():
+        return MvPoly.one(f.spec, f.m)
+    fv = _present_vars(f, g)
+    if len(fv) == 1:
+        return _grlex_ordered(_univariate_gcd(f, g, fv[0]))
+    v = fv[-1]
+    if f.degree_in(v) == 0 or g.degree_in(v) == 0:
+        # one side is free of the main variable: the gcd divides its content
+        A, B = (f, g) if f.degree_in(v) == 0 else (g, f)
+        cont = None
+        for c in _split_main(B, v).values():
+            cont = c if cont is None else ref_poly_gcd(cont, c)
+            if cont.is_constant():
+                return MvPoly.one(f.spec, f.m)
+        return ref_poly_gcd(A, cont)
+    contA, A = _content_and_pp(_split_main(f, v))
+    contB, B = _content_and_pp(_split_main(g, v))
+    cont = ref_poly_gcd(contA, contB)
+    if _main_deg(A) < _main_deg(B):
+        A, B = B, A
+    one = MvPoly.one(f.spec, f.m)
+    gprev, h = one, one
+    while True:
+        delta = _main_deg(A) - _main_deg(B)
+        R = _prem(A, B)
+        if not R:
+            result = _join_main(f.spec, f.m, v, _content_and_pp(B)[1])
+            break
+        if _main_deg(R) == 0:
+            result = one
+            break
+        divisor = gprev * (h ** delta)
+        A = B
+        B = {d: exact_div(c, divisor) for d, c in R.items()}
+        gprev = A[_main_deg(A)]
+        if delta > 0:
+            h = exact_div(gprev ** delta, h ** (delta - 1)) if delta > 1 else gprev
+    return _grlex_ordered((cont * result).normalized())
+
+
+def ref_square_free_decomposition(f: MvPoly, top: int) -> tuple:
+    """Yun's loop on MvPoly values over ``ref_poly_gcd`` and ``exact_div``:
+    the pairs (i, a_i) of f = c * prod a_i^i for every i that p^(top+1) does
+    not divide, in increasing i, with graded-lex monic a_i."""
+    if f.is_zero():
+        raise CasError("ZERO_POLY", "square-free decomposition of the zero polynomial")
+    g = f
+    for j in range(f.m):
+        if g.is_constant():
+            break
+        g = ref_poly_gcd(g, partial_derivative(f, j))
+    w = exact_div(f, g)
+    parts = []
+    i = 1
+    while not w.is_constant():
+        y = ref_poly_gcd(w, g)
+        a = exact_div(w, y)
+        if not a.is_constant():
+            parts.append((i, a.normalized()))
+        w, g = y, exact_div(g, y)
+        i += 1
+    if top > 0 and not g.is_constant():
+        p = f.spec.characteristic
+        deeper = ref_square_free_decomposition(poly_pth_root(g.normalized(), 1), top - 1)
+        parts += [(p * j, a) for j, a in deeper]
+    return tuple(sorted(parts, key=lambda part: part[0]))
+
+
+# ---------------------------------------------------------------------------
+# queries that only the tests make
+
+def min_degree(f: MvPoly) -> int:
+    """The least total degree of a term of f."""
+    if not f.terms:
+        raise CasError("ZERO_POLY", "minimum degree of the zero polynomial")
+    return min(sum(e) for e in f.terms)
+
+
+def initial_slope(pl) -> Fraction:
+    """The slope of a PiecewiseLinear left of its first breakpoint."""
+    return pl.slopes[0]
+
+
+def is_nonnegative(pl) -> bool:
+    """Whether a PiecewiseLinear is >= 0 everywhere."""
+    if not pl.breakpoints:
+        return pl.slopes[0] == 0 and pl.anchor >= 0
+    return all(v >= 0 for v in pl.values) and pl.slopes[0] <= 0 and pl.slopes[-1] >= 0
+
+
+def n_at(cd, rho) -> int:
+    """The right-continuous step value of CountingData cd at rho."""
+    rho = Fraction(rho)
+    i = 0
+    for b in cd.breakpoints:
+        if rho >= b:
+            i += 1
+        else:
+            break
+    return cd.n_values[i]

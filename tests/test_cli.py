@@ -384,3 +384,29 @@ def test_empty_polys_is_a_validation_error(tmp_path, command):
     code, out = _run([command, "--instance", str(path), "--format", "machine"])
     assert code == 1
     assert json.loads(out)["error"] == "VALIDATION_ERROR"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], "text", 5, None, [[[]]], {"k": [{"a": 1}, {}]}, {3: "x", 1: [2]},
+    {"a": [], "b": {}, "c": [1, {"x": None}], "é\n": "ü\"", "z": 1.5, "t": (1, 2),
+     "f": False},
+])
+def test_machine_text_is_json_dumps(value):
+    assert cli.machine_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_report_leaves_no_cyclic_garbage(fmt):
+    # json.dumps with an indent and a self-referencing text emitter each left
+    # cyclic garbage on every call
+    import gc
+
+    argv = ["verify-abc1", "--instance", "instances/sum_char0.json", "--format", fmt]
+    _run(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        assert _run(argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

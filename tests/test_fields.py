@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polyabc.errors import CasError
 from polyabc.fields import (FIELD_KINDS, NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, Coeff,
-                            FieldSpec, _dense_divmod, _fpt_add, _fpt_mul, _ratfunc_canonical,
+                            FieldSpec, _fpt_add, _fpt_mul, _ratfunc_canonical,
                             clear_denominators, parse_coeff)
 
 from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q5, assert_canonical, property_coeff,
@@ -236,9 +236,9 @@ def test_property_dense_gcd_and_divmod_match_references(pair):
         assert g == ref_fp_gcd(A, B, spec.p)
     if not B:
         with pytest.raises(CasError):
-            _dense_divmod(A, B, R)
+            R.divmod(A, B)
         return
-    q, r = _dense_divmod(A, B, R)
+    q, r = R.divmod(A, B)
     if spec.kind == PRIME_FIELD:
         assert (q, r) == ref_fp_divmod(A, B, spec.p)
     for val in g + q + r:

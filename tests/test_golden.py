@@ -4,12 +4,14 @@ field code.  Reports are byte-identical for identical invocations, so any
 change of output shows up here; an intended change updates its entry.
 
 Each invocation runs in process through ``cli.main`` from the repository
-root, with ``--format machine`` appended.
+root, with ``--format machine`` appended.  Its stdout is also what
+``json.dumps(sort_keys=True, indent=2)`` writes for the document it holds.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import pytest
@@ -74,6 +76,19 @@ GOLDEN = {
     "corpus-run --field f5t --check verify-abc1 --count 4 --seed 7 --n 3 --deg 6 --mode kwise": ("b9fbba64a40153029a136ee50233cb20", 2),
     # --k reaches corpus-run's instances: the k_range gate fires (exit 0 before)
     "corpus-run --field q3 --check verify-abc2 --n 3 --count 2 --seed 7 --k 99": ("64633133fd7c5fa6c2c3deefc93989ba", 2),
+    # planted products for the recursive dense kernel, recorded before it
+    # replaced the MvPoly-level remainder sequence: an m = 2 F_3 ladder
+    # (multiplicities 9, 2, 1) and an m = 3 F_2 product with a square factor
+    "sqfree --instance instances/ladder_f3_m2.json": ("b5c0954b2e8b1f459722ac7d7b561260", 0),
+    "counting --instance instances/ladder_f3_m2.json --ell 2": ("c1404e6125786edacec88d7e07d0ce49", 0),
+    "radical --instance instances/ladder_f3_m2.json --s 1": ("a69145437c70138fd591cf2eb396e6c2", 0),
+    "sqfree --instance instances/square_factor_f2_m3.json": ("64f9a4eec4e7d4f27269ae319573e693", 0),
+    "counting --instance instances/square_factor_f2_m3.json --ell 2": ("201a1e948cfc0551a49195b58b4dd13d", 0),
+    "radical --instance instances/square_factor_f2_m3.json --s 1": ("00c2fb20ec656ee6947bbd652e48e17e", 0),
+    # three variables, which no benchmark workload exercises
+    "corpus-run --field f2 --check verify-abc1 --count 3 --seed 7 --m 3 --n 3 --deg 4": ("329bc8afc39c986f18840eaff64f6de0", 0),
+    "corpus-run --field f3t --check verify-abc2 --count 3 --seed 7 --m 3 --deg 4": ("43cb4a4e4c4ef79b29e2710a8fa4a64e", 0),
+    "corpus-run --field q3 --check verify-abc1 --count 3 --seed 7 --m 3 --n 3 --deg 4": ("6527f698460e36695a5eb6bd2333f3fc", 0),
 }
 
 
@@ -83,4 +98,6 @@ def test_golden_machine_report(line, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(line.split() + ["--format", "machine"])
-    assert (hashlib.md5(out.getvalue().encode()).hexdigest(), code) == GOLDEN[line]
+    text = out.getvalue()
+    assert (hashlib.md5(text.encode()).hexdigest(), code) == GOLDEN[line]
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from polyabc.errors import CasError
 from polyabc.fields import RATFUNC_T_ADIC
-from polyabc.hasse import partial_derivative
 from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.oracle import divides, multiplicity, squarefree_factor_oracle
 from polyabc.radicals import _product as parts_product
@@ -15,6 +14,7 @@ from polyabc.radicals import (higher_radical, product_decomposition, radical,
                               square_free_part, stable_radical_level, trunc_gcd)
 
 from conftest import F2, F2T, F3, F3T, F5, Q2, Q3, property_polys, random_poly
+from helpers import partial_derivative
 
 
 def _z(spec, m=1, i=0):
