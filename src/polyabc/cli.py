@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .abcengine import (DEFAULT_RHOS, _frac_str, _step_c, verify_abc_first,
                         verify_abc_second, verify_basic_abc, verify_corollaries)
@@ -326,40 +327,41 @@ def _render_text(doc, out):
 
 def _json_parts(value, indent, parts):
     """Append the text of ``json.dumps(value, sort_keys=True, indent=2)`` to
-    parts, nested at ``indent``; leaves go through ``json.dumps``.  With an
-    indent, ``json.dumps`` takes the pure-Python encoder, whose nested
-    closures refer to each other and leave cyclic garbage on every call."""
+    parts for a dict, list or tuple ``value`` nested at ``indent``; a leaf is
+    what ``json.dumps`` writes for it.  With an indent, ``json.dumps`` takes
+    the pure-Python encoder, whose nested closures refer to each other and
+    leave cyclic garbage on every call."""
     if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n"
-        for key in sorted(value):
-            # json.dumps writes a key that is not a string as its own text
-            name = json.dumps(key if isinstance(key, str) else json.dumps(key))
-            parts.append(f"{sep}{inner}{name}: ")
-            _json_parts(value[key], inner, parts)
-            sep = ",\n"
-        parts.append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n"
-        for x in value:
-            parts.append(sep + inner)
-            _json_parts(x, inner, parts)
-            sep = ",\n"
-        parts.append(f"\n{indent}]")
+        # json.dumps writes a key that is not a string as its own text
+        items = [(_json_str(k if isinstance(k, str) else json.dumps(k)) + ": ", x)
+                 for k, x in sorted(value.items())]
+        brackets = "{}"
     else:
-        parts.append(json.dumps(value))
+        items, brackets = [("", x) for x in value], "[]"
+    if not items:
+        parts.append(brackets)
+        return
+    inner = indent + "  "
+    sep = brackets[0] + "\n" + inner
+    for name, x in items:
+        parts.append(sep + name)
+        if isinstance(x, str):
+            parts.append(_json_str(x))  # what json.dumps returns for a str
+        elif type(x) is int:
+            parts.append(repr(x))  # and for an int
+        elif isinstance(x, (dict, list, tuple)):
+            _json_parts(x, inner, parts)
+        else:
+            parts.append(json.dumps(x))
+        sep = ",\n" + inner
+    parts.append(f"\n{indent}{brackets[1]}")
 
 
 def machine_text(doc) -> str:
     """The machine report: ``json.dumps(doc, sort_keys=True, indent=2)``
     and a newline, written without the encoder's cyclic garbage."""
+    if not isinstance(doc, (dict, list, tuple)):
+        return json.dumps(doc) + "\n"
     parts: list = []
     _json_parts(doc, "", parts)
     parts.append("\n")

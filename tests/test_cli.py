@@ -389,7 +389,7 @@ def test_empty_polys_is_a_validation_error(tmp_path, command):
 @pytest.mark.parametrize("value", [
     {}, [], "text", 5, None, [[[]]], {"k": [{"a": 1}, {}]}, {3: "x", 1: [2]},
     {"a": [], "b": {}, "c": [1, {"x": None}], "é\n": "ü\"", "z": 1.5, "t": (1, 2),
-     "f": False},
+     "f": False, "g": [True, -7, 10 ** 30, float("inf")]},
 ])
 def test_machine_text_is_json_dumps(value):
     assert cli.machine_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
