@@ -33,7 +33,7 @@ from .nevanlinna import PiecewiseLinear, counting, norm_profile
 from .radicals import (_product, product_decomposition, radical, sigma_radical_gcd,
                        square_free_decomposition, square_free_part, stable_radical_level,
                        trunc_gcd)
-from .wronskian import (WronskianCertificate, _reduce_row, _scan_division, _scan_rows,
+from .wronskian import (WronskianCertificate, _reduce_row, _scan_ring, _scan_rows,
                         collection_independence_index, f_rank, find_certificate)
 
 DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
@@ -82,20 +82,20 @@ def _vanishing(fs):
     """Every index set whose subsum vanishes, in (size, lex) order.
 
     Meet in the middle (Horowitz and Sahni) on the exact rows of
-    ``_scan_rows``, with each F_p[t] entry over F_p(t) flattened to its
-    coefficients, on which a 0/1 subsum acts F_p-linearly: the subset sums
-    of the first half of the rows are tabulated by their vector, those of
-    the negated second half are looked up in that table, and a set vanishes
-    iff its two halves meet.  That forms 2 * 2^(n/2) row sums, not 2^n;
-    over F_p and F_p(t) the vectors are reduced mod p.
+    ``_scan_rows``, with each F_p[t] entry over F_p(t), a tuple of residues,
+    padded to one width and flattened into the row; a 0/1 subsum acts on
+    these F_p-linearly.  The subset sums of the first half of the rows are
+    tabulated by their vector, those of the negated second half are looked
+    up in that table, and a set vanishes iff its two halves meet.  That
+    forms 2 * 2^(n/2) row sums, not 2^n; over F_p and F_p(t) the vectors are
+    reduced mod p.
     """
     guard_poly_count(len(fs))
     spec = fs[0].spec
     rows = _scan_rows(fs)
     if spec.kind == RATFUNC_T_ADIC:
-        width = max((a.degree_in(0) + 1 for row in rows for a in row), default=0)
-        rows = [[a.terms[(i,)].val if (i,) in a.terms else 0 for a in row for i in range(width)]
-                for row in rows]
+        width = max((len(a) for row in rows for a in row), default=0)
+        rows = [[a[i] if i < len(a) else 0 for a in row for i in range(width)] for row in rows]
     width, half, p = len(rows[0]), len(rows) // 2, spec.characteristic
     first = {}
     for mask, total in enumerate(_subset_sums(rows[:half], width, p)):
@@ -122,7 +122,7 @@ def _circuits(fs):
     """
     spec = fs[0].spec
     rows = _scan_rows(fs)
-    div, prev = _scan_division(spec)
+    ring, prev = _scan_ring(spec)
     n, cols = len(rows), range(len(rows[0]))
     free = cols  # the columns without a pivot in the current set
     independent, dependent = {0}, []
@@ -139,7 +139,7 @@ def _circuits(fs):
             continue
         row = list(rows[j])
         for prow, c, d, _, rest in stack:
-            _reduce_row(row, prow, c, rest, div, d)
+            _reduce_row(row, prow, c, rest, ring, d)
         c = next((k for k in free if row[k]), None)
         if c is None:
             dependent.append(mask | 1 << j)

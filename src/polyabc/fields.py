@@ -172,11 +172,11 @@ def same_spec(a: FieldSpec, b: FieldSpec) -> bool:
 # trailing zeros.  The F_p[t] parts of F_p(t) payloads (ints in [0, p)) have
 # their own +, - and *; division and gcd run over any field Ring.
 
-def _fpt_trim(c: list) -> tuple:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
+def _dense_trim(c: list, is_zero) -> tuple:
+    """The list c, emptied of its trailing zeros, as a tuple."""
+    while c and is_zero(c[-1]):
+        c.pop()
+    return tuple(c)
 
 
 def _fpt_add(a, b, p):
@@ -185,7 +185,7 @@ def _fpt_add(a, b, p):
     out = list(a)
     for i, x in enumerate(b):
         out[i] = (out[i] + x) % p
-    return _fpt_trim(out)
+    return _dense_trim(out, operator.not_)
 
 
 def _fpt_neg(a, p):
@@ -277,14 +277,7 @@ def _fpt_parse(text: str, p: int):
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c % p
-    return _fpt_trim(out)
-
-
-def _dense_trim(c: list, is_zero) -> tuple:
-    n = len(c)
-    while n and is_zero(c[n - 1]):
-        n -= 1
-    return tuple(c[:n])
+    return _dense_trim(out, operator.not_)
 
 
 def _dense_scale(a, c, ring) -> tuple:
@@ -351,7 +344,7 @@ def _fpt_divmod(a, b, p):
             q = quo[o] = c * inv % p
             for j, y in enumerate(low, o):
                 rem[j] -= q * y
-    return tuple(quo), _fpt_trim([x % p for x in rem[:db]])
+    return tuple(quo), _dense_trim([x % p for x in rem[:db]], operator.not_)
 
 
 def _dense_gcd(a, b, ring) -> tuple:
@@ -612,7 +605,7 @@ class Coeff:
                 if i % q:
                     raise CasError("NOT_A_PTH_POWER", f"t-exponent {i} not divisible by {q}")
                 out[i // q] = c  # c^(p^s) = c on F_p
-            return _fpt_trim(out)
+            return _dense_trim(out, operator.not_)
 
         return Coeff(self.spec, (root(num), root(den)))
 

@@ -1,30 +1,33 @@
 """Sparse multivariate polynomials over a FieldSpec, and the recursive dense
-kernel behind their gcd and square-free decomposition.
+kernel behind their exact quotients, gcds and eliminations.
 
 Terms live in a dict mapping exponent tuples to nonzero coefficients; the
 canonical term order everywhere (leading terms, serialization) is graded
-lexicographic, descending.  ``+``, ``-``, ``*``, ``scale`` and ``exact_div``
-run their loops on raw coefficient payloads through the field's ``Ring``
-(``spec.ring``), binding its functions once per call, and box to ``Coeff``
-only the terms they store.
+lexicographic, descending.  ``+``, ``-``, ``*`` and ``scale`` run their loops
+on raw coefficient payloads through the field's ``Ring`` (``spec.ring``),
+binding its functions once per call, and box to ``Coeff`` only the terms
+they store.
 
-``poly_gcd`` converts its arguments once (``to_dense``) to recursive dense
-elements: nested tuples with one level per variable that occurs, the highest
-variable outermost and Ring payloads at the leaves.  ``DenseLevel`` holds the
-operations of one level, built once per (field, level) by ``dense_domain``:
-at one variable the field Ring's ``conv`` and univariate ``gcd``; above it
-the subresultant remainder sequence in that level's variable, with contents
-by the gcd of the level below.  The gcd is converted back once
-(``from_dense``) and normalized to graded-lex leading coefficient 1.
-``radicals.square_free_decomposition`` runs Yun's loop on the same elements.
+``exact_div`` and ``poly_gcd`` convert their arguments once (``to_dense``) to
+recursive dense elements: nested tuples with one level per variable that
+occurs, the highest variable outermost and Ring payloads at the leaves.
+``DenseLevel`` holds the operations of one level, built once per (field,
+level) by ``dense_domain``: at one variable the field Ring's ``conv``,
+``divmod`` and univariate ``gcd``; above it schoolbook products and exact
+quotients over the level below, and the subresultant remainder sequence in
+that level's variable, with contents by the gcd of the level below.  The
+quotient or gcd is converted back once (``from_dense``); the gcd is
+normalized to graded-lex leading coefficient 1.  On the same elements
+``radicals.square_free_decomposition`` runs Yun's loop and ``wronskian``
+every Bareiss elimination of a polynomial matrix.
 """
 
 from __future__ import annotations
 
-from operator import add as _plus, not_, sub as _minus
+from operator import add as _plus, not_
 
 from .errors import CasError, NotDivisible
-from .fields import Coeff, FieldSpec, same_spec
+from .fields import Coeff, FieldSpec, _dense_trim, same_spec
 
 Monomial = tuple  # exponent tuples; total degree is sum of the entries
 
@@ -96,11 +99,6 @@ class MvPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, v: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[v] for e in self.terms)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -229,40 +227,15 @@ class MvPoly:
 
 
 def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
-    """The quotient f/g when g divides f exactly; NotDivisible otherwise."""
+    """The quotient f/g when g divides f exactly, NotDivisible otherwise: the
+    recursive dense ``exquo`` in the variables that occur, converted once
+    each way, its terms in graded-lex descending order."""
     f._check(g)
     if g.is_zero():
         raise CasError("DIVISION_BY_ZERO_POLY", "polynomial division by zero")
-    if f.is_zero():
-        return MvPoly.zero(f.spec, f.m)
-    if g.is_constant():
-        return f.scale(g.constant_coeff().inverse())
-    spec, ring = f.spec, f.spec.ring
-    sub, neg, mul, is_zero = ring.sub, ring.neg, ring.mul, ring.is_zero
-    g_lead = g.leading_monomial()
-    g_lc = g.terms[g_lead].val
-    g_items = [(e, c.val) for e, c in g.terms.items()]
-    rem = {e: c.val for e, c in f.terms.items()}
-    quo: dict = {}
-    while rem:
-        e = max(rem, key=grlex_key)
-        diff = tuple(map(_minus, e, g_lead))
-        if min(diff) < 0:
-            raise NotDivisible(f"remainder has leading monomial {e}")
-        q = ring.div(rem[e], g_lc)
-        quo[diff] = Coeff(spec, q)
-        for ge, gv in g_items:
-            ee = tuple(map(_plus, diff, ge))
-            c = rem.get(ee)
-            if c is None:
-                rem[ee] = neg(mul(q, gv))
-            else:
-                s = sub(c, mul(q, gv))
-                if is_zero(s):
-                    del rem[ee]
-                else:
-                    rem[ee] = s
-    return MvPoly(spec, f.m, quo)
+    vs = present_vars(f, g)
+    q = dense_domain(f.spec, len(vs) or 1).exquo(to_dense(f, vs), to_dense(g, vs))
+    return from_dense(f.spec, f.m, vs, q)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +254,12 @@ def present_vars(*fs) -> list:
 
 
 def to_dense(f: MvPoly, vs):
-    """f as an element of level len(vs) >= 1 in the variables vs, which hold
-    every variable of f."""
+    """f as an element of level len(vs) in the variables vs, which hold every
+    variable of f; with no variables, f is a constant of level 1."""
     if not f.terms:
         return ()
+    if not vs:
+        return (f.constant_coeff().val,)
     return _nest([(e, c.val) for e, c in f.terms.items()], vs, len(vs), f.spec.ring.zero)
 
 
@@ -306,8 +281,10 @@ def _nest(items, vs, d, zero):
 
 
 def from_dense(spec: FieldSpec, m: int, vs, a) -> MvPoly:
-    """The MvPoly of the level-len(vs) element a in the variables vs, its terms
-    in graded-lex descending order, the order ``exact_div`` builds."""
+    """The MvPoly of the element a of ``to_dense``'s level in the variables
+    vs, its terms in graded-lex descending order."""
+    if not vs:
+        return MvPoly(spec, m, {(0,) * m: Coeff(spec, a[0])} if a else {})
     items: list = []
     _flatten(a, len(vs), vs, [0] * m, items, spec.ring.is_zero)
     if len(vs) > 1:  # one variable comes out in descending degree already
@@ -328,12 +305,6 @@ def _flatten(a, d, vs, e, out, is_zero):
     e[v] = 0
 
 
-def _trimmed(out: list, is_zero) -> tuple:
-    while out and is_zero(out[-1]):
-        out.pop()
-    return tuple(out)
-
-
 def dense_is_const(a, d: int) -> bool:
     """Whether the level-d element a is a constant (zero included)."""
     while d:
@@ -348,13 +319,13 @@ def dense_partial(a, d: int, j: int, ring):
     """The derivative of the level-d element a in the variable of level
     j + 1 <= d; ``ring`` is its field's Ring."""
     if j < d - 1:
-        return _trimmed([dense_partial(c, d - 1, j, ring) for c in a], not_)
+        return _dense_trim([dense_partial(c, d - 1, j, ring) for c in a], not_)
     add, mul, one, is_zero = ring.add, ring.mul, ring.one, ring.is_zero
     out, k = [], one
     for c in a[1:]:
         out.append(_times(c, d - 1, k, mul) if not is_zero(k) else ring.zero if d == 1 else ())
         k = add(k, one)
-    return _trimmed(out, is_zero if d == 1 else not_)
+    return _dense_trim(out, is_zero if d == 1 else not_)
 
 
 def _times(a, d, s, mul):
@@ -400,7 +371,7 @@ class DenseLevel:
             if len(a) > len(b):
                 out += a[len(b):]
                 return tuple(out)
-            return _trimmed(out, is_zero)
+            return _dense_trim(out, is_zero)
 
         def sub(a, b):
             if not b:
@@ -412,7 +383,7 @@ class DenseLevel:
             elif la < lb:
                 out += [ineg(y) for y in b[la:]]
             else:
-                return _trimmed(out, is_zero)
+                return _dense_trim(out, is_zero)
             return tuple(out)
 
         def neg(a):

@@ -9,36 +9,37 @@ the rank of the p^s-power component matrix reaches the field rank, one rank
 per level for a tuple and for a whole collection alike.
 
 Every rank and determinant runs through one fraction-free (Bareiss)
-elimination over an exact ring: integers, residues mod p, or polynomials.
+elimination over an exact ring given by its (mul, sub, exact div): integers,
+residues mod p, or recursive dense polynomials (``mvpoly``), F_p[t] included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import floordiv
+from operator import floordiv, mul, sub
 
 from .errors import CasError, SearchExhausted
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, clear_denominators, int_log
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, clear_denominators, int_log
 from .hasse import hasse_derivative
-from .mvpoly import MvPoly, exact_div
+from .mvpoly import DenseLevel, MvPoly, dense_domain, from_dense, present_vars, to_dense
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra: one fraction-free elimination
 
-def _bareiss(M, ncols=None, div=exact_div, prev=None):
+def _bareiss(M, ring, ncols=None, prev=None):
     """Bareiss elimination of the matrix M, in place, over the fraction field
-    of its entries' ring.
+    of its entries' ring, whose (mul, sub, exact division) is ``ring``.
 
     Pivots are taken from the first ``ncols`` columns (all by default); any
     further columns are an augmented block that follows the row operations.
     Each step replaces every lower row by pivot * row - head * pivot row and
-    divides it by the previous pivot with ``div``, the ring's exact division,
-    so entries stay in the ring; ``prev`` stands before the first pivot
-    (None: the first step divides nothing).  Entries are tested for zero by
-    truth value.  Returns (rank, last pivot, sign of the row permutation);
-    the rows from index rank on are zero in the pivot columns.
+    divides it by the previous pivot, so entries stay in the ring; ``prev``
+    stands before the first pivot (None: the first step divides nothing).
+    Entries are tested for zero by truth value.  Returns (rank, last pivot,
+    sign of the row permutation); the rows from index rank on are zero in
+    the pivot columns.
     """
     nrows = len(M)
     width = len(M[0]) if M else 0
@@ -58,24 +59,25 @@ def _bareiss(M, ncols=None, div=exact_div, prev=None):
         prow = M[rank]
         tail = range(c + 1, width)
         for row in M[rank + 1:]:
-            _reduce_row(row, prow, c, tail, div, prev)
+            _reduce_row(row, prow, c, tail, ring, prev)
         prev = prow[c]
         rank += 1
     return rank, prev, sign
 
 
-def _reduce_row(row, prow, c, cols, div, prev):
+def _reduce_row(row, prow, c, cols, ring, prev):
     """One fraction-free step of ``_bareiss``, in place: over ``cols``,
     row <- (pivot * row - row[c] * prow) / prev with pivot = prow[c], and
-    row[c] <- 0.  The division is ``div`` (none while ``prev`` is None)."""
+    row[c] <- 0, all by ``ring`` (no division while ``prev`` is None)."""
+    mul, sub, div = ring
     pivot, head = prow[c], row[c]
     if prev is None:
         for j in cols:
-            row[j] = pivot * row[j] - head * prow[j]
+            row[j] = sub(mul(pivot, row[j]), mul(head, prow[j]))
     else:
         for j in cols:
-            row[j] = div(pivot * row[j] - head * prow[j], prev)
-    row[c] = pivot - pivot
+            row[j] = div(sub(mul(pivot, row[j]), mul(head, prow[j])), prev)
+    row[c] = sub(pivot, pivot)
 
 
 def _scan_rows(fs):
@@ -86,7 +88,8 @@ def _scan_rows(fs):
     Scaling every row by one nonzero constant keeps both, so over Q every
     row is scaled by the lcm of all denominators, giving integers; over F_p
     the rows are the residues; over F_p(t) every row is scaled by the lcm of
-    all denominators, giving polynomials in t over F_p (one-variable MvPoly).
+    all denominators, giving polynomials in t over F_p: tuples of residues,
+    ascending powers, the level-1 elements of ``_scan_ring``.
     """
     spec = fs[0].spec
     monos = sorted({e for f in fs for e in f.terms})
@@ -97,32 +100,28 @@ def _scan_rows(fs):
         return [[q.numerator * (den // q.denominator) for q in row] for row in vals]
     if spec.kind == PRIME_FIELD:
         return vals
-    fp = FieldSpec(PRIME_FIELD, spec.p)
-
-    def poly_in_t(a):
-        return MvPoly(fp, 1, {(i,): Coeff(fp, c) for i, c in enumerate(a) if c})
-
     nums = iter(clear_denominators(spec, [x for row in vals for x in row]))
-    return [[poly_in_t(next(nums)) for _ in row] for row in vals]
+    return [[next(nums) for _ in row] for row in vals]
 
 
-def _scan_division(spec):
-    """The ``div`` and initial ``prev`` of ``_bareiss`` on rows from
+def _scan_ring(spec):
+    """The ``ring`` and initial ``prev`` of ``_bareiss`` on rows from
     ``_scan_rows``: floor division is exact on the integers; over F_p it
     multiplies by the inverse and reduces from the first step on, so every
-    zero test sees a residue; F_p[t] divides exactly."""
+    zero test sees a residue; F_p[t] is level 1 over the Ring of F_p."""
     if spec.kind == RATIONAL_P_ADIC:
-        return floordiv, None
+        return (mul, sub, floordiv), None
     if spec.kind == PRIME_FIELD:
-        return spec.ring.div, 1
-    return exact_div, None
+        return (mul, sub, spec.ring.div), 1
+    level = DenseLevel(spec.ring.base, None)
+    return (level.mul, level.sub, level.exquo), None
 
 
 def field_rank(rows, spec) -> int:
     """Rank over the field of ``spec`` of coefficient rows from ``_scan_rows``,
     by Bareiss elimination over the rows' ring."""
-    div, prev = _scan_division(spec)
-    return _bareiss([list(r) for r in rows], div=div, prev=prev)[0]
+    ring, prev = _scan_ring(spec)
+    return _bareiss([list(r) for r in rows], ring, prev=prev)[0]
 
 
 def f_rank(fs) -> int:
@@ -135,20 +134,34 @@ def f_independent(fs) -> bool:
     return f_rank(fs) == len(fs)
 
 
+def _dense_ring(fs):
+    """The recursive dense level of the variables that occur in the MvPoly
+    values fs, its ``_bareiss`` ring, and the conversions to and from it."""
+    f = fs[0]
+    vs = present_vars(*fs)
+    level = dense_domain(f.spec, len(vs) or 1)
+    return (level, (level.mul, level.sub, level.exquo), lambda x: to_dense(x, vs),
+            lambda a: from_dense(f.spec, f.m, vs, a))
+
+
 def poly_matrix_rank(M) -> int:
     """Rank over the fraction field, by Bareiss elimination with pivoting."""
-    return _bareiss([list(row) for row in M])[0]
+    entries = [x for row in M for x in row]
+    if not entries:
+        return 0
+    _, ring, to, _ = _dense_ring(entries)
+    return _bareiss([[to(x) for x in row] for row in M], ring)[0]
 
 
 def bareiss_det(M) -> MvPoly:
     """Fraction-free determinant of a square polynomial matrix."""
-    M = [list(row) for row in M]
     if not M:
         raise CasError("DIMENSION_MISMATCH", "empty matrix")
-    rank, last, sign = _bareiss(M)
+    level, ring, to, back = _dense_ring([x for row in M for x in row])
+    rank, last, sign = _bareiss([[to(x) for x in row] for row in M], ring)
     if rank < len(M):
-        return MvPoly.zero(M[0][0].spec, M[0][0].m)
-    return last if sign == 1 else -last
+        return back(())
+    return back(last if sign == 1 else level.neg(last))
 
 
 # ---------------------------------------------------------------------------
@@ -178,36 +191,12 @@ class WronskianCertificate:
     step_c: int
     determinant: MvPoly
 
-    def validate(self) -> bool:
-        if any(g != (0,) * self.functions[0].m for g in self.gammas[:1]):
-            return False
-        for prev, cur in zip(self.gammas, self.gammas[1:]):
-            if sum(cur) > sum(prev) + self.step_c:
-                return False
-        det = gen_wronskian(self.functions, self.gammas)
-        return det == self.determinant and not det.is_zero()
-
 
 @dataclass
 class IndependenceResult:
     index_s: int | None           # None in characteristic 0
     dependent_over: tuple | None  # (level, [witness coefficients]) when found
     search_cap: int | None = None
-
-
-def gen_wronskian(fs, gammas) -> MvPoly:
-    """det of the matrix with rows D^gamma applied across the functions."""
-    fs = list(fs)
-    gammas = [tuple(g) for g in gammas]
-    if not fs or len(fs) != len(gammas):
-        raise CasError("DIMENSION_MISMATCH", "need as many derivative indices as functions")
-    m = fs[0].m
-    if any(f.m != m for f in fs) or any(len(g) != m for g in gammas):
-        raise CasError("DIMENSION_MISMATCH", "mixed variable counts")
-    if any(g != (0,) * m for g in gammas[:1]):
-        raise CasError("DIMENSION_MISMATCH", "the first derivative index must be zero")
-    rows = [[hasse_derivative(f, g) for f in fs] for g in gammas]
-    return bareiss_det(rows)
 
 
 def require_f_independent(fs):
@@ -234,12 +223,12 @@ def find_certificate(fs, step_c: int) -> WronskianCertificate:
     require_f_independent(fs)
     n = len(fs)
     m = fs[0].m
-    zero_gamma = (0,) * m
-    gammas = [zero_gamma]
-    rows = [list(fs)]
+    gammas = [(0,) * m]
     last_deg = 0
     if n == 1:
         return WronskianCertificate(fs, gammas, step_c, fs[0])
+    level, ring, to, back = _dense_ring(fs)
+    rows = [[to(f) for f in fs]]
     gen = graded_lex_indices(m)
     next(gen)  # skip the zero index, already used
     for gamma in gen:
@@ -249,13 +238,14 @@ def find_certificate(fs, step_c: int) -> WronskianCertificate:
         candidate = [hasse_derivative(f, gamma) for f in fs]
         if all(x.is_zero() for x in candidate):
             continue
-        rank, last, sign = _bareiss([list(row) for row in rows + [candidate]])
+        candidate = [to(x) for x in candidate]
+        rank, last, sign = _bareiss([list(row) for row in rows + [candidate]], ring)
         if rank > len(rows):
             rows.append(candidate)
             gammas.append(gamma)
             last_deg = sum(gamma)
             if len(rows) == n:  # the elimination above was of the final square matrix
-                det = last if sign == 1 else -last
+                det = back(last if sign == 1 else level.neg(last))
                 return WronskianCertificate(fs, gammas, step_c, det)
     raise SearchExhausted("exhausted all multi-indices", last_degree=last_deg)
 
@@ -309,12 +299,13 @@ def _dependence_witness(fs, s: int):
     q = spec.p ** s
     rows = _component_matrix(fs, s)
     n, ncols = len(rows), len(rows[0])
-    one, zero = MvPoly.one(spec, m), MvPoly.zero(spec, m)
-    M = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
-    rank, _, _ = _bareiss(M, ncols)
+    level, ring, to, back = _dense_ring([x for row in rows for x in row])
+    M = [[to(x) for x in row] + [level.one if i == j else () for j in range(n)]
+         for i, row in enumerate(rows)]
+    rank, _, _ = _bareiss(M, ring, ncols)
     # row `rank` of [rows | I] is zero left of the block, so its block is a
     # syzygy; stretch the compressed variables back out: z -> z^(p^s)
-    return [MvPoly(spec, m, {tuple(e * q for e in exps): c for exps, c in g.terms.items()})
+    return [MvPoly(spec, m, {tuple(e * q for e in exps): c for exps, c in back(g).terms.items()})
             for g in M[rank][ncols:]]
 
 

@@ -11,8 +11,9 @@ of independence by one level search per field basis, the reference for
 square-free decomposition on ``MvPoly`` values, the references for the
 recursive dense kernel behind ``poly_gcd`` and ``square_free_decomposition``.
 Functions that only the tests call live here too: ``partial_derivative``,
-and the former methods ``min_degree``, ``initial_slope``, ``is_nonnegative``
-and ``n_at``.
+``gen_wronskian``, and the former methods ``min_degree``, ``degree_in``,
+``initial_slope``, ``is_nonnegative``, ``n_at`` and ``validate_certificate``
+(``WronskianCertificate.validate``).
 
     from helpers import d_axis, frobenius_power, log_gauss_norm, poisson_constant, poly_from_text
     from helpers import partial_derivative
@@ -21,6 +22,7 @@ and ``n_at``.
     from helpers import independent_over_power_subfield, ref_collection_index
     from helpers import ref_poly_gcd, ref_square_free_decomposition
     from helpers import initial_slope, is_nonnegative, min_degree, n_at
+    from helpers import degree_in, gen_wronskian, validate_certificate
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from polyabc.fields import NEG_INFINITY, Coeff, FieldSpec, parse_coeff
 from polyabc.hasse import hasse_derivative, poly_pth_root
 from polyabc.mvpoly import MvPoly, exact_div, grlex_key
 from polyabc.nevanlinna import counting
-from polyabc.wronskian import _component_matrix, f_independent, f_rank, poly_matrix_rank
+from polyabc.wronskian import (_component_matrix, bareiss_det, f_independent, f_rank,
+                               poly_matrix_rank)
 
 
 def d_axis(f: MvPoly, j: int, k: int) -> MvPoly:
@@ -304,7 +307,7 @@ def ref_collection_index(fs) -> int:
 # present variable, and Yun's loop over it
 
 def _present_vars(f: MvPoly, g: MvPoly):
-    return [v for v in range(f.m) if f.degree_in(v) > 0 or g.degree_in(v) > 0]
+    return [v for v in range(f.m) if degree_in(f, v) > 0 or degree_in(g, v) > 0]
 
 
 def _split_main(f: MvPoly, v: int) -> dict:
@@ -379,7 +382,7 @@ def _univariate_gcd(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
     spec = f.spec
 
     def dense(h):
-        out = [spec.zero()] * (h.degree_in(v) + 1)
+        out = [spec.zero()] * (degree_in(h, v) + 1)
         for e, c in h.terms.items():
             out[e[v]] = c
         return out
@@ -413,9 +416,9 @@ def ref_poly_gcd(f: MvPoly, g: MvPoly) -> MvPoly:
     if len(fv) == 1:
         return _grlex_ordered(_univariate_gcd(f, g, fv[0]))
     v = fv[-1]
-    if f.degree_in(v) == 0 or g.degree_in(v) == 0:
+    if degree_in(f, v) == 0 or degree_in(g, v) == 0:
         # one side is free of the main variable: the gcd divides its content
-        A, B = (f, g) if f.degree_in(v) == 0 else (g, f)
+        A, B = (f, g) if degree_in(f, v) == 0 else (g, f)
         cont = None
         for c in _split_main(B, v).values():
             cont = c if cont is None else ref_poly_gcd(cont, c)
@@ -483,6 +486,40 @@ def min_degree(f: MvPoly) -> int:
     if not f.terms:
         raise CasError("ZERO_POLY", "minimum degree of the zero polynomial")
     return min(sum(e) for e in f.terms)
+
+
+def degree_in(f: MvPoly, v: int) -> int:
+    """The degree of f in the variable v; -1 for the zero polynomial."""
+    if not f.terms:
+        return -1
+    return max(e[v] for e in f.terms)
+
+
+def gen_wronskian(fs, gammas) -> MvPoly:
+    """det of the matrix with rows D^gamma applied across the functions."""
+    fs = list(fs)
+    gammas = [tuple(g) for g in gammas]
+    if not fs or len(fs) != len(gammas):
+        raise CasError("DIMENSION_MISMATCH", "need as many derivative indices as functions")
+    m = fs[0].m
+    if any(f.m != m for f in fs) or any(len(g) != m for g in gammas):
+        raise CasError("DIMENSION_MISMATCH", "mixed variable counts")
+    if any(g != (0,) * m for g in gammas[:1]):
+        raise CasError("DIMENSION_MISMATCH", "the first derivative index must be zero")
+    rows = [[hasse_derivative(f, g) for f in fs] for g in gammas]
+    return bareiss_det(rows)
+
+
+def validate_certificate(cert) -> bool:
+    """Whether a WronskianCertificate starts at the zero index, keeps its
+    step, and holds the nonzero generalized Wronskian of its indices."""
+    if any(g != (0,) * cert.functions[0].m for g in cert.gammas[:1]):
+        return False
+    for prev, cur in zip(cert.gammas, cert.gammas[1:]):
+        if sum(cur) > sum(prev) + cert.step_c:
+            return False
+    det = gen_wronskian(cert.functions, cert.gammas)
+    return det == cert.determinant and not det.is_zero()
 
 
 def initial_slope(pl) -> Fraction:

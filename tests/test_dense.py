@@ -16,7 +16,7 @@ from polyabc.oracle import squarefree_factor_oracle
 from polyabc.radicals import square_free_decomposition, stable_radical_level
 
 from conftest import F2, F2T, F3, F3T, F5, Q2, property_coeff
-from helpers import poly_from_text, ref_poly_gcd, ref_square_free_decomposition
+from helpers import degree_in, poly_from_text, ref_poly_gcd, ref_square_free_decomposition
 
 SPECS = [Q2, F2, F3, F5, F2T, F3T]
 ORACLE_CAP = 24
@@ -128,7 +128,7 @@ def _oracle_cheap(*fs) -> bool:
     for f in fs:
         size = 1
         for v in range(f.m):
-            size *= f.degree_in(v) + 1
+            size *= degree_in(f, v) + 1
         if size > 64:
             return False
     return True

@@ -89,6 +89,11 @@ GOLDEN = {
     "corpus-run --field f2 --check verify-abc1 --count 3 --seed 7 --m 3 --n 3 --deg 4": ("329bc8afc39c986f18840eaff64f6de0", 0),
     "corpus-run --field f3t --check verify-abc2 --count 3 --seed 7 --m 3 --deg 4": ("43cb4a4e4c4ef79b29e2710a8fa4a64e", 0),
     "corpus-run --field q3 --check verify-abc1 --count 3 --seed 7 --m 3 --n 3 --deg 4": ("6527f698460e36695a5eb6bd2333f3fc", 0),
+    # an F_3(t) pair with denominator t + 1, independent only at level 2, so
+    # independence prints a witness; recorded before Bareiss moved to the
+    # recursive dense kernel
+    "wronskian --instance instances/witness_f3t_m2.json": ("3cd8945d818066e0cc6b842cc6043d0a", 0),
+    "independence --instance instances/witness_f3t_m2.json": ("025460191a7083d789428b51c100a63a", 0),
 }
 
 
