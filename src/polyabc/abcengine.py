@@ -29,11 +29,10 @@ from .fields import RATFUNC_T_ADIC, int_log
 from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
-from .nevanlinna import PiecewiseLinear, counting, norm_profile
-from .radicals import (_product, product_decomposition, radical, sigma_radical_gcd,
-                       square_free_decomposition, square_free_part, stable_radical_level,
-                       trunc_gcd)
-from .wronskian import (WronskianCertificate, _reduce_row, _scan_ring, _scan_rows,
+from .nevanlinna import PiecewiseLinear, product_counting
+from .radicals import (capped_parts, product_decomposition, radical, sigma_radical_gcd,
+                       square_free_decomposition, stable_radical_level, trunc_gcd)
+from .wronskian import (WronskianCertificate, _scan_ring, _scan_rows,
                         collection_independence_index, f_rank, find_certificate)
 
 DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
@@ -122,7 +121,7 @@ def _circuits(fs):
     """
     spec = fs[0].spec
     rows = _scan_rows(fs)
-    ring, prev = _scan_ring(spec)
+    step, prev = _scan_ring(spec)
     n, cols = len(rows), range(len(rows[0]))
     free = cols  # the columns without a pivot in the current set
     independent, dependent = {0}, []
@@ -139,7 +138,7 @@ def _circuits(fs):
             continue
         row = list(rows[j])
         for prow, c, d, _, rest in stack:
-            _reduce_row(row, prow, c, rest, ring, d)
+            step(row, prow, c, rest, d)
         c = next((k for k in free if row[k]), None)
         if c is None:
             dependent.append(mask | 1 << j)
@@ -292,7 +291,7 @@ def analyze_block(fs, indices=None, k_override=None, vanishing=None) -> BlockAna
     if vanishing is not None:
         # idxs is sorted, so relabelling keeps the (size, lex) order
         pos = {i: j for j, i in enumerate(idxs)}
-        vanishing = [tuple(pos[i] for i in v) for v in vanishing if all(i in pos for i in v)]
+        vanishing = [tuple([pos[i] for i in v]) for v in vanishing if all(i in pos for i in v)]
     part = bm_partition(sub, vanishing)
     certs = []
     pool = []
@@ -395,8 +394,7 @@ class AbcReport:
 
 
 def _frac_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))  # "n" or "n/d"
 
 
 def _cert_dict(label, indices, cert: WronskianCertificate):
@@ -409,6 +407,11 @@ def _cert_dict(label, indices, cert: WronskianCertificate):
 
 def _max_deg(fs) -> int:
     return max(f.total_degree() for f in fs)
+
+
+def _degree(powers) -> int:
+    """The total degree of prod a^e over the pairs (e, a)."""
+    return sum(e * a.total_degree() for e, a in powers)
 
 
 def _max_log_profile(fs) -> PiecewiseLinear:
@@ -446,14 +449,14 @@ def verify_basic_abc(f0: MvPoly, f1: MvPoly, rhos=None, instance_id="") -> AbcRe
     if rep.verdict != "HOLDS":
         return rep
     # f -> f / gcd(f, grad f) is multiplicative over the pairwise coprime
-    # f0, f1, f2, so R(f0 f1 f2) needs no product of degree sum deg f_j; a
-    # product of graded-lex monic radicals is graded-lex monic
-    R = radical(f0) * radical(f1) * radical(f2)
-    lhs = _max_deg([f0, f1, f2])
-    rep.add_degree_check("basic", lhs, R.total_degree() - 1)
-    margin = (norm_profile(R) + PiecewiseLinear.line(-1, 0)) - _max_log_profile([f0, f1, f2])
+    # f0, f1, f2, so R(f0 f1 f2) = R(f0) R(f1) R(f2), whose degree and norm
+    # profile are read off the three graded-lex monic radicals unmultiplied
+    fs = [f0, f1, f2]
+    R = [(1, radical(f)) for f in fs]
+    rep.add_degree_check("basic", _max_deg(fs), _degree(R) - 1)
+    margin = product_counting(R).profile + PiecewiseLinear.line(-1, 0) - _max_log_profile(fs)
     rep.add_margin("basic", margin, rhos, primary=True)
-    rep.notes.append(f"radical_degree={R.total_degree()}")
+    rep.notes.append(f"radical_degree={_degree(R)}")
     return rep
 
 
@@ -553,19 +556,19 @@ def verify_abc_first(fs, rhos=None, instance_id="") -> AbcReport:
 
     block_of = {i: ana for ana in live for i in ana.indices}
 
+    # the G_j are formed for the ledger; the truncated gcds only counted
     g_charp = {}
-    g_trunc = {}
+    trunc_deg = 0
     for i, f in enumerate(fs):
         ana = block_of.get(i)
         if ana is None or f.is_constant():
             g_charp[i] = MvPoly.one(spec, f.m)
-            g_trunc[i] = MvPoly.one(spec, f.m)
             continue
         consts = ana.constants
         parts = square_free_decomposition(f, stable_radical_level(f))
-        g_trunc[i] = trunc_gcd(f, consts.a, parts)
         g_charp[i] = (sigma_radical_gcd(f, consts.a, consts.sigma, parts) if charp
-                      else g_trunc[i])
+                      else trunc_gcd(f, consts.a, parts))
+        trunc_deg += _degree(capped_parts(f, parts, consts.a))
 
     b_star = min(a.constants.b for a in live)
     lhs_deg = _max_deg(fs)
@@ -574,13 +577,9 @@ def verify_abc_first(fs, rhos=None, instance_id="") -> AbcReport:
         str(g_charp[i].total_degree()) for i in range(len(fs))))
     rep.add_degree_check("sum_charp" if charp else "sum", lhs_deg, rhs_charp)
     if charp:
-        rhs_trunc = sum(g.total_degree() for g in g_trunc.values()) - b_star
-        rep.add_degree_check("sum_truncated", lhs_deg, rhs_trunc)
+        rep.add_degree_check("sum_truncated", lhs_deg, trunc_deg - b_star)
 
-    total_n = None
-    for g in g_charp.values():
-        prof = counting(g).integrated if not g.is_constant() else PiecewiseLinear.line(0, 0)
-        total_n = prof if total_n is None else total_n + prof
+    total_n = product_counting([(1, g) for g in g_charp.values()]).integrated
     margin = total_n + PiecewiseLinear.line(-b_star, 0) - _max_log_profile(fs)
     rep.add_margin("sum_margin", margin, rhos, primary=True)
 
@@ -673,18 +672,18 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             "no relation between them is asserted")
 
     # F = prod f_j is never formed: its parts are merged from the f_j's, with
-    # no gcd when k = 2 has proved the f_j pairwise coprime; fs[0] fixes the ring
+    # no gcd when k = 2 has proved the f_j pairwise coprime, and the objects
+    # of F are read off them unmultiplied; fs[0] fixes the ring
     parts = product_decomposition(fs, coprime=k == 2)
-    S = _product(fs[0], parts, 1)
-    G = _product(fs[0], parts, a_bar)
+    G = capped_parts(fs[0], parts, a_bar)
     lhs_deg = _max_deg(fs)
-    rep.notes.append(f"product_truncation_degree={G.total_degree()}")
-    rep.add_degree_check("product", lhs_deg, G.total_degree() - b_star)
-    margin = counting(G).integrated + PiecewiseLinear.line(-b_star, 0) - max_norm
+    rep.notes.append(f"product_truncation_degree={_degree(G)}")
+    rep.add_degree_check("product", lhs_deg, _degree(G) - b_star)
+    margin = product_counting(G).integrated + PiecewiseLinear.line(-b_star, 0) - max_norm
     rep.add_margin("product_margin", margin, rhos, primary=True)
-    _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond, k == 2, S=S)
+    _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond, k == 2, parts)
     if spec.characteristic == 0 and k == 3:
-        _bb_section(rep, fs, S, gcd_cond)  # in characteristic 0, R(F) is S(F)
+        _bb_section(rep, fs, _degree(capped_parts(fs[0], parts, 1)), gcd_cond)  # R(F) = S(F)
     return rep
 
 
@@ -696,12 +695,12 @@ def _step_c(fs) -> int:
 
 
 def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond,
-                   coprime, S=None):
+                   coprime, parts=None):
     """Squarefree-part corollary: max log|f_j| <= A (N^(1)_F - log r) + O(1),
-    with max_norm the profile of max log|f_j|, S the square-free part of
-    F = prod f_j, read here off the f_j (pairwise coprime when ``coprime``)
-    if not given, and gcd_cond the subsum gcd condition, read when there are
-    several blocks."""
+    with max_norm the profile of max log|f_j|, parts the square-free
+    decomposition of F = prod f_j, merged here from the f_j's (pairwise
+    coprime when ``coprime``) if not given, and gcd_cond the subsum gcd
+    condition, read when there are several blocks."""
     if c_global is None:
         c_global = _step_c(fs)
     if len(blocks) > 1:
@@ -713,26 +712,28 @@ def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, block
     if big_a < 1:
         rep.notes.append("squarefree_corollary_skipped: empty truncation bound")
         return
-    if S is None:
-        S = _product(fs[0], product_decomposition(fs, coprime), 1)
+    if parts is None:
+        parts = product_decomposition(fs, coprime)
+    S = capped_parts(fs[0], parts, 1)
     lhs_deg = _max_deg(fs)
-    rep.add_degree_check("squarefree_corollary", lhs_deg,
-                         big_a * (S.total_degree() - 1))
-    margin = (counting(S).integrated + PiecewiseLinear.line(-1, 0)).scale(big_a) - max_norm
+    rep.add_degree_check("squarefree_corollary", lhs_deg, big_a * (_degree(S) - 1))
+    margin = ((product_counting(S).integrated + PiecewiseLinear.line(-1, 0)).scale(big_a)
+              - max_norm)
     rep.add_margin("squarefree_margin", margin, rhos)
     rep.notes.append(f"squarefree_corollary_bound={big_a}")
 
 
-def _bb_section(rep: AbcReport, fs, R, gcd_cond):
+def _bb_section(rep: AbcReport, fs, deg_R, gcd_cond):
     """Characteristic-0 triple-gcd bound: max deg <= (2n-3)(deg R(F) - 1),
-    with R the radical of F = prod f_j and gcd_cond the subsum gcd condition."""
+    with deg_R the degree of the radical of F = prod f_j and gcd_cond the
+    subsum gcd condition."""
     ok, witness = gcd_cond
     if not ok:
         rep.notes.append(f"triple_bound_skipped: {witness}")
         return
     n = len(fs) - 1
     rep.add_degree_check("triple_gcd_bound", _max_deg(fs),
-                         (2 * n - 3) * (R.total_degree() - 1))
+                         (2 * n - 3) * (deg_R - 1))
 
 
 def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
@@ -757,23 +758,20 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
     # exact bound via gcd(f_j, R(f_j)^a), with a taken from the block that
     # realizes the maximal degree; in characteristic 0, R(f_j) is the
     # square-free part, and one decomposition of f_j gives it and every
-    # truncation
-    parts = [None if f.is_constant() else square_free_decomposition(f, 0) for f in fs]
-    rads = [None if ps is None else square_free_part(f, ps) for f, ps in zip(fs, parts)]
+    # truncation, none of them formed
+    parts = [square_free_decomposition(f, 0) for f in fs]
     lhs_deg = _max_deg(fs)
     j0 = max(range(len(fs)), key=lambda i: fs[i].total_degree())
     a0 = block_of[j0].constants.a
-    r_values = [0 if ps is None else trunc_gcd(f, a0, ps).total_degree()
-                for f, ps in zip(fs, parts)]
+    r_values = [_degree(capped_parts(f, ps, a0)) for f, ps in zip(fs, parts)]
     rep.add_degree_check("radical_truncation_exact", lhs_deg,
                          sum(r_values) - a0 * (a0 + 1) // 2)
     rep.notes.append(f"r_a_degrees={r_values} a={a0}")
     for ana in live:
         a_b = ana.constants.a
         block_lhs = max(fs[i].total_degree() for i in ana.indices)
-        block_rhs = sum(
-            0 if parts[i] is None else trunc_gcd(fs[i], a_b, parts[i]).total_degree()
-            for i in ana.indices) - a_b * (a_b + 1) // 2
+        block_rhs = sum(_degree(capped_parts(fs[i], parts[i], a_b))
+                        for i in ana.indices) - a_b * (a_b + 1) // 2
         rep.add_degree_check(f"radical_truncation_block_{ana.indices[0]}",
                              block_lhs, block_rhs)
 
@@ -781,20 +779,14 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
     d = f_rank(fs)
     n = len(fs) - 1
     n_const = sum(1 for f in fs if f.is_constant())
-    radical_degs = [0 if r is None else r.total_degree() for r in rads]
-    sweep = []
-    for A in range(d, n - n_const + 1):
-        rhs = A * sum(radical_degs) - A * (A + 1) // 2
-        sweep.append({"A": A, "rhs": rhs, "ok": lhs_deg <= rhs})
-        rep.add_degree_check(f"level_sweep_A{A}", lhs_deg, rhs)
-    if not sweep:
+    radical_deg = sum(_degree(capped_parts(f, ps, 1)) for f, ps in zip(fs, parts))
+    levels = range(d, n - n_const + 1)
+    for A in levels:
+        rep.add_degree_check(f"level_sweep_A{A}", lhs_deg, A * radical_deg - A * (A + 1) // 2)
+    if not levels:
         rep.notes.append(f"level_sweep_skipped: empty range [d, n-C] = [{d}, {n - n_const}]")
     else:
-        total_n1 = None
-        for r in rads:
-            prof = (PiecewiseLinear.line(0, 0) if r is None
-                    else counting(r).integrated)
-            total_n1 = prof if total_n1 is None else total_n1 + prof
+        total_n1 = product_counting([(1, a) for ps in parts for _, a in ps]).integrated
         A = d
         margin = ((total_n1 + PiecewiseLinear.line(Fraction(-(A + 1), 2), 0)).scale(A)
                   - _max_log_profile(fs))

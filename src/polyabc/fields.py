@@ -6,14 +6,15 @@ Three field kinds are supported:
 * ``prime_field``     -- F_p with the trivial valuation,
 * ``ratfunc_t_adic``  -- F_p(t) with the t-adic valuation.
 
-All absolute values are handled on a log-base-p scale, so every comparison
-the rest of the package makes is an exact comparison of ``Fraction`` values.
-``a.log_abs()`` returns log_p|a| as a ``Fraction`` and ``NEG_INFINITY`` for 0.
+All absolute values are handled on a log-base-p scale, where all three
+valuations are integers: ``a.log_abs()`` returns log_p|a| as an int and
+``NEG_INFINITY`` for 0.
 
 Arithmetic runs through one ``Ring`` per field, built once with its
-``FieldSpec`` (``spec.ring``): functions on raw payloads -- ``Fraction``, an
-int in [0, p), or a canonical (numerator, denominator) pair over F_p[t] --
-chosen once, so no coefficient operation dispatches on the field kind.
+``FieldSpec`` (``spec.ring``): functions on raw payloads -- over Q an int
+when integral and a ``Fraction`` otherwise (never a float), an int in
+[0, p), or a canonical (numerator, denominator) pair over F_p[t] -- chosen
+once, so no coefficient operation dispatches on the field kind.
 ``Coeff`` boxes one payload; ``MvPoly`` runs its loops on the payloads.
 The Ring also owns the univariate gcd (``spec.ring.gcd``) on dense tuples of
 payloads: Euclid on one division loop, ``Ring.divmod``, for F_p and F_p(t)
@@ -26,7 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .errors import CasError, ParseError
 
@@ -46,14 +47,8 @@ def guard_load_degree(what: str, degree: int):
 
 
 class _NegInfinity:
-    """Sentinel for log|0|.  Orders below every Fraction; absorbs addition."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel for log|0|, NEG_INFINITY.  Orders below every number;
+    absorbs addition."""
 
     def __lt__(self, other):
         return other is not self
@@ -134,7 +129,7 @@ class FieldSpec:
 
     def from_int(self, k: int) -> "Coeff":
         if self.kind == RATIONAL_P_ADIC:
-            return Coeff(self, Fraction(k))
+            return Coeff(self, k)
         if self.kind == PRIME_FIELD:
             return Coeff(self, k % self.p)
         kp = k % self.p
@@ -143,7 +138,7 @@ class FieldSpec:
     def from_fraction(self, q: Fraction) -> "Coeff":
         if self.kind != RATIONAL_P_ADIC:
             raise CasError("VALIDATION_ERROR", "fractions only embed in characteristic 0")
-        return Coeff(self, Fraction(q))
+        return Coeff(self, _q_canonical(Fraction(q)))
 
     def t(self) -> "Coeff":
         """The valuation parameter t of F_p(t)."""
@@ -357,9 +352,7 @@ def _dense_gcd(a, b, ring) -> tuple:
 
 
 def _int_primitive(c):
-    g = 0
-    for x in c:
-        g = int_gcd(g, abs(x))
+    g = int_gcd(*c)
     return [x // g for x in c] if g else []
 
 
@@ -385,17 +378,21 @@ def _q_gcd(a, b) -> tuple:
     its coefficients swell: it is about 2x slower at degree 5 and 170x at
     degree 60 (see ROADMAP)."""
     def to_int(c):
-        den = 1
-        for x in c:
-            den = den * x.denominator // int_gcd(den, x.denominator)
-        return _int_primitive([int(x * den) for x in c])
+        den = lcm(*[x.denominator for x in c])
+        return _int_primitive([x.numerator * (den // x.denominator) for x in c])
 
     a, b = to_int(a), to_int(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
-    return tuple([Fraction(x, a[-1]) for x in a]) if a else ()
+    return tuple([_q_canonical(Fraction(x, a[-1])) for x in a]) if a else ()
+
+
+def _q_canonical(x):
+    """The Q payload of the rational x: an int when x is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
 
 
 def _ratfunc_canonical(num, den, base):
@@ -451,14 +448,14 @@ class Ring:
                  "euclid", "base")
 
     def __init__(self, kind: str, p: int):
-        self.is_zero = operator.not_
+        self.is_zero, self.zero, self.one = operator.not_, 0, 1
         self.euclid = kind != RATIONAL_P_ADIC
         if kind == RATIONAL_P_ADIC:
-            self.zero, self.one = Fraction(0), Fraction(1)
-            self.add, self.sub, self.neg = operator.add, operator.sub, operator.neg
-            self.mul, self.div = operator.mul, operator.truediv
+            self.add = lambda a, b: _q_canonical(a + b)
+            self.sub = lambda a, b: _q_canonical(a - b)
+            self.neg, self.mul = operator.neg, lambda a, b: _q_canonical(a * b)
+            self.div = lambda a, b: _q_canonical(Fraction(a, b))  # exact, never a float
         elif kind == PRIME_FIELD:
-            self.zero, self.one = 0, 1
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: -a % p
@@ -507,9 +504,9 @@ class Ring:
 class Coeff:
     """An element of a FieldSpec field, always kept in canonical form.
 
-    Payloads: Fraction for the rationals, int in [0, p) for F_p, and a
-    (numerator, denominator) pair of F_p[t] coefficient tuples for F_p(t)
-    with monic denominator and coprime parts.
+    Payloads: an int or a non-integral Fraction for the rationals, int in
+    [0, p) for F_p, and a (numerator, denominator) pair of F_p[t] coefficient
+    tuples for F_p(t) with monic denominator and coprime parts.
     """
 
     __slots__ = ("spec", "val")
@@ -565,26 +562,21 @@ class Coeff:
     # -- valuation -----------------------------------------------------------
 
     def log_abs(self):
-        """log_p of the absolute value, NEG_INFINITY when zero."""
+        """log_p of the absolute value, an int; NEG_INFINITY when zero."""
         if self.is_zero():
             return NEG_INFINITY
         k = self.spec.kind
         if k == PRIME_FIELD:
-            return Fraction(0)
+            return 0
         if k == RATIONAL_P_ADIC:
-            p = self.spec.p
-            v = 0
-            n = self.val.numerator
+            p, n, d, v = self.spec.p, self.val.numerator, self.val.denominator, 0
             while n % p == 0:
-                n //= p
-                v += 1
-            d = self.val.denominator
+                n, v = n // p, v - 1
             while d % p == 0:
-                d //= p
-                v -= 1
-            return Fraction(-v)
+                d, v = d // p, v + 1
+            return v
         num, den = self.val
-        return Fraction(-(_fpt_ord(num) - _fpt_ord(den)))
+        return _fpt_ord(den) - _fpt_ord(num)
 
     def pth_root(self, s: int = 1) -> "Coeff":
         """A b with b^(p^s) = self, in the represented field."""
@@ -612,10 +604,7 @@ class Coeff:
     # -- text ----------------------------------------------------------------
 
     def __str__(self):
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            return str(self.val)
-        if k == RATIONAL_P_ADIC:
+        if self.spec.kind != RATFUNC_T_ADIC:
             return str(self.val)
         num, den = self.val
         ns = _fpt_str(num)
@@ -651,7 +640,7 @@ def parse_coeff(spec: FieldSpec, text: str) -> Coeff:
         raise ParseError("empty coefficient")
     try:
         if spec.kind == RATIONAL_P_ADIC:
-            return Coeff(spec, Fraction(text))
+            return Coeff(spec, _q_canonical(Fraction(text)))
         if spec.kind == PRIME_FIELD:
             return Coeff(spec, int(text) % spec.p)
         num_s, den_s = _split_top_level_slash(text)

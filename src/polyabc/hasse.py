@@ -8,11 +8,10 @@ are computed mod p through Lucas digit products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import CasError
-from .fields import Coeff, FieldSpec, RATIONAL_P_ADIC
+from .fields import Coeff, FieldSpec
 from .mvpoly import Monomial, MvPoly
 
 
@@ -35,17 +34,10 @@ def multinomial(alpha: Monomial, beta: Monomial, spec: FieldSpec) -> Coeff:
         raise CasError("DIMENSION_MISMATCH", "multi-index lengths differ")
     if any(a < b for a, b in zip(alpha, beta)):
         raise CasError("INDEX_NOT_DOMINATING", f"{alpha} does not dominate {beta}")
-    if spec.kind == RATIONAL_P_ADIC:
-        out = 1
-        for a, b in zip(alpha, beta):
-            out *= comb(a, b)
-        return spec.from_fraction(Fraction(out))
-    p = spec.p
+    p = spec.characteristic
     out = 1
-    for a, b in zip(alpha, beta):
-        out = (out * _binom_mod_p(a, b, p)) % p
-        if out == 0:
-            break
+    for a, b in zip(alpha, beta):  # reduced mod p by from_int
+        out *= _binom_mod_p(a, b, p) if p else comb(a, b)
     return spec.from_int(out)
 
 

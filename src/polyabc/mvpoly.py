@@ -158,7 +158,7 @@ class MvPoly:
         for e1, c1 in self.terms.items():
             v1 = c1.val
             for e2, v2 in right:
-                e = tuple(map(_plus, e1, e2))
+                e = tuple([*map(_plus, e1, e2)])
                 c = mul(v1, v2)  # nonzero: a field has no zero divisors
                 x = get(e)
                 acc[e] = c if x is None else add(x, c)
@@ -227,12 +227,14 @@ class MvPoly:
 
 
 def exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
-    """The quotient f/g when g divides f exactly, NotDivisible otherwise: the
-    recursive dense ``exquo`` in the variables that occur, converted once
-    each way, its terms in graded-lex descending order."""
+    """The quotient f/g when g divides f exactly, NotDivisible otherwise, its
+    terms in graded-lex descending order: f scaled when g is a constant, else
+    the recursive dense ``exquo`` in the variables that occur."""
     f._check(g)
     if g.is_zero():
         raise CasError("DIVISION_BY_ZERO_POLY", "polynomial division by zero")
+    if g.is_constant():
+        return MvPoly(f.spec, f.m, dict(f.sorted_terms())).scale(g.constant_coeff().inverse())
     vs = present_vars(f, g)
     q = dense_domain(f.spec, len(vs) or 1).exquo(to_dense(f, vs), to_dense(g, vs))
     return from_dense(f.spec, f.m, vs, q)

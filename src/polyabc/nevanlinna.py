@@ -2,10 +2,12 @@
 
 Radii are restricted to r = p^rho with rational rho, so the sup-norm
 log|f|_{p^rho} = max over terms of (log|a_gamma| + |gamma| rho) is the upper
-envelope of finitely many rational lines, and every quantity downstream
-(counting steps, integrated counting, margins) is exact Fraction arithmetic.
-The maximum of several norms, rho -> max_j log|f_j|_{p^rho}, is likewise one
-envelope, taken over the terms of every f_j together.
+envelope of finitely many lines, with integer slopes and intercepts: only
+its breakpoints are ``Fraction`` values, and every quantity downstream
+(counting steps, integrated counting, margins) is exact.  The maximum of
+several norms, rho -> max_j log|f_j|_{p^rho}, is likewise one envelope,
+taken over the terms of every f_j together.  The Gauss norm is
+multiplicative: the profile of prod a^e is the sum of e * profile(a).
 """
 
 from __future__ import annotations
@@ -13,136 +15,137 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import CasError
 from .mvpoly import MvPoly
 
 
-class PiecewiseLinear:
-    """Continuous piecewise-linear function on the whole rho line.
+def _rational(x):
+    """x as an exact rational: an int, or else a Fraction."""
+    return x if x.__class__ is int else Fraction(x)
 
-    Stored as ascending breakpoints, one slope per segment (one more slope
-    than breakpoints) and the values at the breakpoints (a single value at
-    rho = 0 when there are none).  Canonical: adjacent slopes differ.
+
+class PiecewiseLinear:
+    """Continuous piecewise-linear function on the whole rho line; immutable.
+
+    Stored as ascending breakpoints and the line s * rho + c of each segment,
+    as ``slopes`` and ``intercepts``; canonical: adjacent slopes differ.  The
+    constructor takes the ``anchor``, the value at the first breakpoint (at
+    rho = 0 when there is none), for the intercepts.
     """
 
-    __slots__ = ("breakpoints", "slopes", "values", "anchor")
+    __slots__ = ("breakpoints", "slopes", "intercepts")
 
     def __init__(self, breakpoints, slopes, anchor):
         bp = [Fraction(x) for x in breakpoints]
-        sl = [Fraction(s) for s in slopes]
-        anchor = Fraction(anchor)
+        sl = [_rational(s) for s in slopes]
         if len(sl) != len(bp) + 1:
             raise CasError("VALIDATION_ERROR", "slope count must exceed breakpoint count by one")
         if any(b >= c for b, c in zip(bp, bp[1:])):
             raise CasError("VALIDATION_ERROR", "breakpoints must be strictly ascending")
-        vals = []
-        v = anchor
-        for i, b in enumerate(bp):
-            if i > 0:
-                v += sl[i] * (b - bp[i - 1])
-            vals.append(v)
-        # canonical form: drop breakpoints between segments of equal slope
-        nbp, nvals, nsl = [], [], [sl[0]]
-        for b, v, s in zip(bp, vals, sl[1:]):
-            if s != nsl[-1]:
-                nbp.append(b)
-                nvals.append(v)
-                nsl.append(s)
-        self.breakpoints = nbp
-        self.slopes = nsl
-        self.values = nvals
-        if nbp:
-            self.anchor = nvals[0]
-        elif bp:
-            self.anchor = vals[0] - sl[0] * bp[0]  # value at rho = 0
-        else:
-            self.anchor = anchor
+        c = _rational(anchor) - (sl[0] * bp[0] if bp else 0)
+        self.breakpoints, self.slopes, self.intercepts = [], sl[:1], [c]
+        for b, s in zip(bp, sl[1:]):  # dropping breakpoints between equal slopes
+            if s != self.slopes[-1]:
+                c += (self.slopes[-1] - s) * b  # continuity at b
+                self.breakpoints.append(b)
+                self.slopes.append(s)
+                self.intercepts.append(c)
+
+    @staticmethod
+    def _of_lines(breakpoints, slopes, intercepts) -> "PiecewiseLinear":
+        """The function with these canonical parts, taken as they are."""
+        pl = PiecewiseLinear.__new__(PiecewiseLinear)
+        pl.breakpoints, pl.slopes, pl.intercepts = breakpoints, slopes, intercepts
+        return pl
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def line(slope, intercept) -> "PiecewiseLinear":
-        return PiecewiseLinear([], [slope], intercept)
+        return PiecewiseLinear._of_lines([], [_rational(slope)], [_rational(intercept)])
 
     @staticmethod
     def upper_envelope(lines) -> "PiecewiseLinear":
-        """Envelope of (slope, intercept) pairs: max over lines of s*rho + b."""
+        """Envelope of (slope, intercept) pairs: max over lines of s*rho + b,
+        the upper hull in ascending slope, whose crossings are compared by
+        cross-multiplication; only the final breakpoints are Fractions."""
         best: dict = {}
         for s, b in lines:
-            s, b = Fraction(s), Fraction(b)
+            s, b = _rational(s), _rational(b)
             if s not in best or b > best[s]:
                 best[s] = b
-        items = sorted(best.items())
-
-        def cross(l1, l2):
-            return (l2[1] - l1[1]) / (l1[0] - l2[0])
-
-        hull = []
-        for ln in items:
-            while len(hull) >= 2 and cross(hull[-1], ln) <= cross(hull[-2], hull[-1]):
-                hull.pop()
-            hull.append(ln)
-        bps = [cross(a, b) for a, b in zip(hull, hull[1:])]
-        slopes = [s for s, _ in hull]
-        if bps:
-            s0, b0 = hull[0]
-            anchor = s0 * bps[0] + b0
-        else:
-            anchor = hull[0][1]
-        return PiecewiseLinear(bps, slopes, anchor)
+        slopes, cs = [], []
+        for s, b in sorted(best.items()):  # drop lines the new one makes redundant
+            while len(slopes) >= 2 and ((cs[-1] - b) * (slopes[-1] - slopes[-2])
+                                        <= (cs[-2] - cs[-1]) * (s - slopes[-1])):
+                slopes.pop()
+                cs.pop()
+            slopes.append(s)
+            cs.append(b)
+        bps = [Fraction(cs[i] - cs[i + 1], slopes[i + 1] - slopes[i])
+               for i in range(len(slopes) - 1)]
+        return PiecewiseLinear._of_lines(bps, slopes, cs)
 
     # -- evaluation -----------------------------------------------------------
 
-    def value(self, rho) -> Fraction:
-        rho = Fraction(rho)
-        if not self.breakpoints:
-            return self.anchor + self.slopes[0] * rho
+    def value(self, rho):
+        rho = _rational(rho)
         i = bisect_left(self.breakpoints, rho)
-        if i == len(self.breakpoints):
-            return self.values[-1] + self.slopes[-1] * (rho - self.breakpoints[-1])
-        return self.values[i] + self.slopes[i] * (rho - self.breakpoints[i])
+        return self.slopes[i] * rho + self.intercepts[i]
 
     @property
-    def final_slope(self) -> Fraction:
-        return self.slopes[-1]
+    def values(self) -> list:
+        """The values at the breakpoints."""
+        return [s * b + c for b, s, c in zip(self.breakpoints, self.slopes, self.intercepts)]
 
-    def _slope_before(self, right) -> Fraction:
-        """Slope on a segment lying immediately left of ``right`` (None = +inf)."""
-        if right is None:
-            return self.slopes[-1]
-        return self.slopes[bisect_left(self.breakpoints, right)]
+    @property
+    def anchor(self):
+        """The value at the first breakpoint; at rho = 0 when there is none."""
+        return self.value(self.breakpoints[0] if self.breakpoints else 0)
+
+    @property
+    def final_slope(self):
+        return self.slopes[-1]
 
     # -- linear operations -------------------------------------------------------
 
-    def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        rights = bps + [None]
-        slopes = [self._slope_before(r) + other._slope_before(r) for r in rights]
-        ref = bps[0] if bps else Fraction(0)
-        return PiecewiseLinear(bps, slopes, self.value(ref) + other.value(ref))
+    def _merge(self, other: "PiecewiseLinear", op) -> "PiecewiseLinear":
+        """op (add or sub) of the two functions, in one pass over both."""
+        ab, asl, acs = self.breakpoints, self.slopes, self.intercepts
+        bb, bsl, bcs = other.breakpoints, other.slopes, other.intercepts
+        na, nb, i, j = len(ab), len(bb), 0, 0
+        bps, slopes, cs = [], [op(asl[0], bsl[0])], [op(acs[0], bcs[0])]
+        while i < na or j < nb:  # x, the next breakpoint of either, ends a segment
+            x = ab[i] if j == nb or (i < na and ab[i] < bb[j]) else bb[j]
+            i += i < na and ab[i] == x
+            j += j < nb and bb[j] == x
+            s = op(asl[i], bsl[j])
+            if s != slopes[-1]:
+                bps.append(x)
+                slopes.append(s)
+                cs.append(op(acs[i], bcs[j]))
+        return PiecewiseLinear._of_lines(bps, slopes, cs)
 
-    def __neg__(self) -> "PiecewiseLinear":
-        ref = self.breakpoints[0] if self.breakpoints else Fraction(0)
-        return PiecewiseLinear(list(self.breakpoints), [-s for s in self.slopes],
-                               -self.value(ref))
+    def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
+        return self._merge(other, add)
 
     def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self + (-other)
+        return self._merge(other, sub)
 
     def scale(self, q) -> "PiecewiseLinear":
-        q = Fraction(q)
-        ref = self.breakpoints[0] if self.breakpoints else Fraction(0)
+        q = _rational(q)
         if q == 0:
             return PiecewiseLinear.line(0, 0)
-        return PiecewiseLinear(list(self.breakpoints), [s * q for s in self.slopes],
-                               self.value(ref) * q)
+        return PiecewiseLinear._of_lines(self.breakpoints, [s * q for s in self.slopes],
+                                         [c * q for c in self.intercepts])
 
     def __eq__(self, other):
         if not isinstance(other, PiecewiseLinear):
             return NotImplemented
         return (self.breakpoints == other.breakpoints and self.slopes == other.slopes
-                and self.anchor == other.anchor)
+                and self.intercepts == other.intercepts)
 
     def __repr__(self):
         segs = ", ".join(str(s) for s in self.slopes)
@@ -182,30 +185,35 @@ def norm_profile(f: MvPoly) -> PiecewiseLinear:
     """The full convex map rho -> log|f|_{p^rho}."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "norm profile of the zero polynomial")
-    lines = [(Fraction(sum(e)), c.log_abs()) for e, c in f.terms.items()]
-    return PiecewiseLinear.upper_envelope(lines)
+    return PiecewiseLinear.upper_envelope([(sum(e), c.log_abs()) for e, c in f.terms.items()])
 
 
 def counting(f: MvPoly) -> CountingData:
     """Zero counting read off the norm envelope; slopes are the step values."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "counting data of the zero polynomial")
-    prof = norm_profile(f)
+    return product_counting([(1, f)])
+
+
+def product_counting(powers) -> CountingData:
+    """Counting data of prod a^e over the pairs (e, a) of nonzero polynomials,
+    read off the factors unmultiplied: the slopes of the norm profile are the
+    step values, and the profile less its first intercept is integrated."""
+    prof = PiecewiseLinear.line(0, 0)
+    for e, a in powers:
+        prof = prof + norm_profile(a).scale(e)
     n_values = [int(s) for s in prof.slopes]
-    n0 = n_values[0]
-    bps = list(prof.breakpoints)
-    anchor = Fraction(n0) * bps[0] if bps else Fraction(0)
-    integrated = PiecewiseLinear(bps, [Fraction(v) for v in n_values], anchor)
-    return CountingData(n_at_zero=n0, breakpoints=bps, n_values=n_values,
-                        integrated=integrated, profile=prof)
+    integrated = prof - PiecewiseLinear.line(0, prof.intercepts[0])
+    return CountingData(n_at_zero=n_values[0], breakpoints=list(prof.breakpoints),
+                        n_values=n_values, integrated=integrated, profile=prof)
 
 
 def truncated_counting(f: MvPoly, ell: int) -> CountingData:
-    """Counting with multiplicities capped at ell."""
-    from .radicals import trunc_gcd
+    """Counting with multiplicities capped at ell: of gcd(f, S(f)^ell)."""
+    from .radicals import capped_parts
 
     if f.is_zero():
         raise CasError("ZERO_POLY", "truncated counting of the zero polynomial")
     if ell < 1:
         raise CasError("VALIDATION_ERROR", "truncation level must be positive")
-    return counting(trunc_gcd(f, ell))
+    return product_counting(capped_parts(f, None, ell))

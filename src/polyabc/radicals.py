@@ -124,18 +124,22 @@ def product_decomposition(fs, coprime: bool = False) -> tuple:
     return tuple(sorted(base, key=lambda part: part[0]))
 
 
-def _product(f: MvPoly, parts, cap: int, s: int | None = None) -> MvPoly:
-    """prod a_i^min(i, cap) over the parts (i, a_i) of f, decomposed here to
-    depth s (the stable level if s is None) when parts is None, keeping only
+def capped_parts(f: MvPoly, parts, cap: int, s: int | None = None) -> list:
+    """The pairs (min(i, cap), a_i) over the parts (i, a_i) of f, decomposed
+    here to depth s (the stable level if s is None) when parts is None, for
     the i that p^(s+1) does not divide when s is given.  Given parts, f only
-    fixes the ring: it may be any polynomial of the ring the parts lie in."""
+    fixes the ring: any polynomial of the ring the parts lie in will do."""
     if parts is None:
         parts = square_free_decomposition(f, stable_radical_level(f) if s is None else s)
     q = f.spec.characteristic ** (s + 1) if s is not None else 0
+    return [(min(i, cap), a) for i, a in parts if not q or i % q]
+
+
+def _product(f: MvPoly, parts, cap: int, s: int | None = None) -> MvPoly:
+    """prod a^e over ``capped_parts(f, parts, cap, s)``."""
     out = MvPoly.one(f.spec, f.m)
-    for i, a in parts:
-        if not q or i % q:
-            out = out * a ** min(i, cap)
+    for e, a in capped_parts(f, parts, cap, s):
+        out = out * a ** e
     return out
 
 

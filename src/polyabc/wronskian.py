@@ -9,18 +9,17 @@ the rank of the p^s-power component matrix reaches the field rank, one rank
 per level for a tuple and for a whole collection alike.
 
 Every rank and determinant runs through one fraction-free (Bareiss)
-elimination over an exact ring given by its (mul, sub, exact div): integers,
-residues mod p, or recursive dense polynomials (``mvpoly``), F_p[t] included.
+elimination with a row step for its exact ring: integers, residues mod p, or
+recursive dense polynomials (``mvpoly``), F_p[t] included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import floordiv, mul, sub
 
 from .errors import CasError, SearchExhausted
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, clear_denominators, int_log
+from .fields import PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, clear_denominators, int_log
 from .hasse import hasse_derivative
 from .mvpoly import DenseLevel, MvPoly, dense_domain, from_dense, present_vars, to_dense
 
@@ -28,15 +27,15 @@ from .mvpoly import DenseLevel, MvPoly, dense_domain, from_dense, present_vars, 
 # ---------------------------------------------------------------------------
 # exact linear algebra: one fraction-free elimination
 
-def _bareiss(M, ring, ncols=None, prev=None):
+def _bareiss(M, step, ncols=None, prev=None):
     """Bareiss elimination of the matrix M, in place, over the fraction field
-    of its entries' ring, whose (mul, sub, exact division) is ``ring``.
+    of its entries' ring, whose row step is ``step``.
 
     Pivots are taken from the first ``ncols`` columns (all by default); any
     further columns are an augmented block that follows the row operations.
-    Each step replaces every lower row by pivot * row - head * pivot row and
-    divides it by the previous pivot, so entries stay in the ring; ``prev``
-    stands before the first pivot (None: the first step divides nothing).
+    Each step(row, prow, c, cols, prev) sets a lower row, in place, to
+    (pivot * row - head * pivot row) / prev over cols, so entries stay in
+    the ring; ``prev`` stands before the first pivot (None: no division).
     Entries are tested for zero by truth value.  Returns (rank, last pivot,
     sign of the row permutation); the rows from index rank on are zero in
     the pivot columns.
@@ -59,25 +58,37 @@ def _bareiss(M, ring, ncols=None, prev=None):
         prow = M[rank]
         tail = range(c + 1, width)
         for row in M[rank + 1:]:
-            _reduce_row(row, prow, c, tail, ring, prev)
+            step(row, prow, c, tail, prev)
         prev = prow[c]
         rank += 1
     return rank, prev, sign
 
 
-def _reduce_row(row, prow, c, cols, ring, prev):
-    """One fraction-free step of ``_bareiss``, in place: over ``cols``,
-    row <- (pivot * row - row[c] * prow) / prev with pivot = prow[c], and
-    row[c] <- 0, all by ``ring`` (no division while ``prev`` is None)."""
-    mul, sub, div = ring
-    pivot, head = prow[c], row[c]
-    if prev is None:
+def _ring_step(mul, sub, div):
+    """The row step over a ring given by its (mul, sub, exact division)."""
+    def step(row, prow, c, cols, prev):
+        pivot, head = prow[c], row[c]
         for j in cols:
-            row[j] = sub(mul(pivot, row[j]), mul(head, prow[j]))
-    else:
-        for j in cols:
-            row[j] = div(sub(mul(pivot, row[j]), mul(head, prow[j])), prev)
-    row[c] = sub(pivot, pivot)
+            x = sub(mul(pivot, row[j]), mul(head, prow[j]))
+            row[j] = x if prev is None else div(x, prev)
+        row[c] = sub(pivot, pivot)
+    return step
+
+
+def _int_step(p: int):
+    """The row step by inline operators over the integers (p = 0), where floor
+    division is exact, and over F_p, reduced so each entry is a residue."""
+    def step(row, prow, c, cols, prev):
+        pivot, head = prow[c], row[c]
+        if p:
+            inv = pow(prev, p - 2, p)
+            for j in cols:
+                row[j] = (pivot * row[j] - head * prow[j]) * inv % p
+        else:
+            for j in cols:
+                row[j] = (pivot * row[j] - head * prow[j]) // prev
+        row[c] = 0
+    return step
 
 
 def _scan_rows(fs):
@@ -97,6 +108,8 @@ def _scan_rows(fs):
     vals = [[f.terms.get(e, zero).val for e in monos] for f in fs]
     if spec.kind == RATIONAL_P_ADIC:
         den = lcm(*[q.denominator for row in vals for q in row])
+        if den == 1:  # integral payloads are ints
+            return vals
         return [[q.numerator * (den // q.denominator) for q in row] for row in vals]
     if spec.kind == PRIME_FIELD:
         return vals
@@ -105,23 +118,21 @@ def _scan_rows(fs):
 
 
 def _scan_ring(spec):
-    """The ``ring`` and initial ``prev`` of ``_bareiss`` on rows from
-    ``_scan_rows``: floor division is exact on the integers; over F_p it
-    multiplies by the inverse and reduces from the first step on, so every
-    zero test sees a residue; F_p[t] is level 1 over the Ring of F_p."""
-    if spec.kind == RATIONAL_P_ADIC:
-        return (mul, sub, floordiv), None
-    if spec.kind == PRIME_FIELD:
-        return (mul, sub, spec.ring.div), 1
+    """The row ``step`` and initial ``prev`` of ``_bareiss`` on rows from
+    ``_scan_rows``: integers over Q and residues over F_p, both from
+    prev = 1 on, so every zero test over F_p sees a residue; F_p[t] is
+    level 1 over the Ring of F_p."""
+    if spec.kind != RATFUNC_T_ADIC:
+        return _int_step(spec.characteristic), 1
     level = DenseLevel(spec.ring.base, None)
-    return (level.mul, level.sub, level.exquo), None
+    return _ring_step(level.mul, level.sub, level.exquo), None
 
 
 def field_rank(rows, spec) -> int:
     """Rank over the field of ``spec`` of coefficient rows from ``_scan_rows``,
     by Bareiss elimination over the rows' ring."""
-    ring, prev = _scan_ring(spec)
-    return _bareiss([list(r) for r in rows], ring, prev=prev)[0]
+    step, prev = _scan_ring(spec)
+    return _bareiss([list(r) for r in rows], step, prev=prev)[0]
 
 
 def f_rank(fs) -> int:
@@ -136,11 +147,11 @@ def f_independent(fs) -> bool:
 
 def _dense_ring(fs):
     """The recursive dense level of the variables that occur in the MvPoly
-    values fs, its ``_bareiss`` ring, and the conversions to and from it."""
+    values fs, its ``_bareiss`` step, and the conversions to and from it."""
     f = fs[0]
     vs = present_vars(*fs)
     level = dense_domain(f.spec, len(vs) or 1)
-    return (level, (level.mul, level.sub, level.exquo), lambda x: to_dense(x, vs),
+    return (level, _ring_step(level.mul, level.sub, level.exquo), lambda x: to_dense(x, vs),
             lambda a: from_dense(f.spec, f.m, vs, a))
 
 
@@ -149,16 +160,16 @@ def poly_matrix_rank(M) -> int:
     entries = [x for row in M for x in row]
     if not entries:
         return 0
-    _, ring, to, _ = _dense_ring(entries)
-    return _bareiss([[to(x) for x in row] for row in M], ring)[0]
+    _, step, to, _ = _dense_ring(entries)
+    return _bareiss([[to(x) for x in row] for row in M], step)[0]
 
 
 def bareiss_det(M) -> MvPoly:
     """Fraction-free determinant of a square polynomial matrix."""
     if not M:
         raise CasError("DIMENSION_MISMATCH", "empty matrix")
-    level, ring, to, back = _dense_ring([x for row in M for x in row])
-    rank, last, sign = _bareiss([[to(x) for x in row] for row in M], ring)
+    level, step, to, back = _dense_ring([x for row in M for x in row])
+    rank, last, sign = _bareiss([[to(x) for x in row] for row in M], step)
     if rank < len(M):
         return back(())
     return back(last if sign == 1 else level.neg(last))
@@ -227,7 +238,7 @@ def find_certificate(fs, step_c: int) -> WronskianCertificate:
     last_deg = 0
     if n == 1:
         return WronskianCertificate(fs, gammas, step_c, fs[0])
-    level, ring, to, back = _dense_ring(fs)
+    level, step, to, back = _dense_ring(fs)
     rows = [[to(f) for f in fs]]
     gen = graded_lex_indices(m)
     next(gen)  # skip the zero index, already used
@@ -239,7 +250,7 @@ def find_certificate(fs, step_c: int) -> WronskianCertificate:
         if all(x.is_zero() for x in candidate):
             continue
         candidate = [to(x) for x in candidate]
-        rank, last, sign = _bareiss([list(row) for row in rows + [candidate]], ring)
+        rank, last, sign = _bareiss([list(row) for row in rows + [candidate]], step)
         if rank > len(rows):
             rows.append(candidate)
             gammas.append(gamma)
@@ -262,14 +273,14 @@ def _component_matrix(fs, s: int):
     spec = fs[0].spec
     m = fs[0].m
     q = spec.p ** s
-    residues = sorted({tuple(e % q for e in exps) for f in fs for exps in f.terms})
+    residues = sorted({tuple([e % q for e in exps]) for f in fs for exps in f.terms})
     col = {r: i for i, r in enumerate(residues)}
     rows = []
     for f in fs:
         entries = [dict() for _ in residues]
         for exps, c in f.terms.items():
-            r = tuple(e % q for e in exps)
-            entries[col[r]][tuple(e // q for e in exps)] = c
+            r = tuple([e % q for e in exps])
+            entries[col[r]][tuple([e // q for e in exps])] = c
         rows.append([MvPoly(spec, m, t) for t in entries])
     return rows
 
@@ -299,10 +310,10 @@ def _dependence_witness(fs, s: int):
     q = spec.p ** s
     rows = _component_matrix(fs, s)
     n, ncols = len(rows), len(rows[0])
-    level, ring, to, back = _dense_ring([x for row in rows for x in row])
+    level, step, to, back = _dense_ring([x for row in rows for x in row])
     M = [[to(x) for x in row] + [level.one if i == j else () for j in range(n)]
          for i, row in enumerate(rows)]
-    rank, _, _ = _bareiss(M, ring, ncols)
+    rank, _, _ = _bareiss(M, step, ncols)
     # row `rank` of [rows | I] is zero left of the block, so its block is a
     # syzygy; stretch the compressed variables back out: z -> z^(p^s)
     return [MvPoly(spec, m, {tuple(e * q for e in exps): c for exps, c in back(g).terms.items()})

@@ -82,12 +82,14 @@ def property_coeff(spec: FieldSpec):
 
 
 def assert_canonical(spec: FieldSpec, val):
-    """A payload is canonical: a Fraction over Q_p; an int in [0, p) over
-    F_p; over F_p(t), coefficient tuples in [0, p) without trailing zeros, a
-    monic denominator coprime to the numerator, and ((), (1,)) for zero."""
+    """A payload is canonical: over Q_p an int when integral and a Fraction
+    otherwise (never a float, never an integral Fraction); an int in [0, p)
+    over F_p; over F_p(t), coefficient tuples in [0, p) without trailing
+    zeros, a monic denominator coprime to the numerator, and ((), (1,)) for
+    zero."""
     p = spec.p
     if spec.kind == RATIONAL_P_ADIC:
-        assert type(val) is Fraction
+        assert type(val) is int or (type(val) is Fraction and val.denominator != 1)
         return
     if spec.kind == PRIME_FIELD:
         assert type(val) is int and 0 <= val < p

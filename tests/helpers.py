@@ -13,7 +13,9 @@ recursive dense kernel behind ``poly_gcd`` and ``square_free_decomposition``.
 Functions that only the tests call live here too: ``partial_derivative``,
 ``gen_wronskian``, and the former methods ``min_degree``, ``degree_in``,
 ``initial_slope``, ``is_nonnegative``, ``n_at`` and ``validate_certificate``
-(``WronskianCertificate.validate``).
+(``WronskianCertificate.validate``).  ``ref_upper_envelope``, a hull on
+``Fraction`` values that divides to compare crossings, is the reference for
+``PiecewiseLinear.upper_envelope``.
 
     from helpers import d_axis, frobenius_power, log_gauss_norm, poisson_constant, poly_from_text
     from helpers import partial_derivative
@@ -23,6 +25,7 @@ Functions that only the tests call live here too: ``partial_derivative``,
     from helpers import ref_poly_gcd, ref_square_free_decomposition
     from helpers import initial_slope, is_nonnegative, min_degree, n_at
     from helpers import degree_in, gen_wronskian, validate_certificate
+    from helpers import ref_upper_envelope
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from polyabc.errors import CasError, NotDivisible, ParseError
 from polyabc.fields import NEG_INFINITY, Coeff, FieldSpec, parse_coeff
 from polyabc.hasse import hasse_derivative, poly_pth_root
 from polyabc.mvpoly import MvPoly, exact_div, grlex_key
-from polyabc.nevanlinna import counting
+from polyabc.nevanlinna import PiecewiseLinear, counting
 from polyabc.wronskian import (_component_matrix, bareiss_det, f_independent, f_rank,
                                poly_matrix_rank)
 
@@ -544,3 +547,31 @@ def n_at(cd, rho) -> int:
         else:
             break
     return cd.n_values[i]
+
+
+def ref_upper_envelope(lines) -> PiecewiseLinear:
+    """Envelope of (slope, intercept) pairs by a hull on Fraction values,
+    whose breakpoints are the crossings of adjacent hull lines."""
+    best: dict = {}
+    for s, b in lines:
+        s, b = Fraction(s), Fraction(b)
+        if s not in best or b > best[s]:
+            best[s] = b
+    items = sorted(best.items())
+
+    def cross(l1, l2):
+        return (l2[1] - l1[1]) / (l1[0] - l2[0])
+
+    hull = []
+    for ln in items:
+        while len(hull) >= 2 and cross(hull[-1], ln) <= cross(hull[-2], hull[-1]):
+            hull.pop()
+        hull.append(ln)
+    bps = [cross(a, b) for a, b in zip(hull, hull[1:])]
+    slopes = [s for s, _ in hull]
+    if bps:
+        s0, b0 = hull[0]
+        anchor = s0 * bps[0] + b0
+    else:
+        anchor = hull[0][1]
+    return PiecewiseLinear(bps, slopes, anchor)

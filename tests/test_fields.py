@@ -12,8 +12,8 @@ from polyabc.fields import (FIELD_KINDS, NEG_INFINITY, PRIME_FIELD, RATFUNC_T_AD
                             FieldSpec, _fpt_add, _fpt_mul, _ratfunc_canonical,
                             clear_denominators, parse_coeff)
 
-from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q5, assert_canonical, property_coeff,
-                      random_coeff)
+from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q3, Q5, assert_canonical,
+                      property_coeff, random_coeff)
 from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
 
 
@@ -200,6 +200,47 @@ def test_property_ring_axioms_and_canonical_payloads(triple):
         num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
         assert R.add(a, b) == _ratfunc_canonical(num, _fpt_mul(d1, d2, p), R.base)
         assert R.mul(a, b) == _ratfunc_canonical(_fpt_mul(n1, n2, p), _fpt_mul(d1, d2, p), R.base)
+
+
+# canonical Q payloads: ints and non-integral Fractions
+_q_payloads = st.one_of(st.integers(-60, 60), st.fractions(-6, 6, max_denominator=6).map(
+    lambda q: q.numerator if q.denominator == 1 else q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_q_payloads, _q_payloads)
+def test_property_q_ring_returns_no_float_and_no_integral_fraction(a, b):
+    R = Q3.ring
+    results = [(R.add(a, b), Fraction(a) + Fraction(b)), (R.sub(a, b), Fraction(a) - Fraction(b)),
+               (R.neg(a), -Fraction(a)), (R.mul(a, b), Fraction(a) * Fraction(b))]
+    if b:
+        results.append((R.div(a, b), Fraction(a) / Fraction(b)))
+    for got, want in results:
+        assert got == want
+        assert_canonical(Q3, got)
+
+
+def test_q_payloads_examples():
+    R = Q2.ring
+    assert (R.zero, R.one) == (0, 1) and type(R.zero) is type(R.one) is int
+    for a, b, want in ((6, 3, 2), (1, 3, Fraction(1, 3)), (-6, 4, Fraction(-3, 2)),
+                       (Fraction(1, 2), Fraction(1, 4), 2), (3, Fraction(3, 2), 2)):
+        got = R.div(a, b)
+        assert got == want and type(got) is type(want)
+    assert type(R.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(R.sub(Fraction(5, 2), Fraction(1, 2))) is int
+    assert type(R.mul(Fraction(3, 2), 2)) is int
+    assert type((Q2.from_int(6) / Q2.from_int(3)).val) is int
+    for c in (Q2.from_int(4), Q2.from_fraction(Fraction(6, 3)), parse_coeff(Q2, "6/3"),
+              parse_coeff(Q2, "-4/6"), Q2.one().inverse()):
+        assert_canonical(Q2, c.val)
+    # the monic gcd of x^2 - 1 and 2x + 2 is x + 1, in ints
+    g = R.gcd((-1, 0, 1), (2, 2))
+    assert g == (1, 1) and all(type(x) is int for x in g)
+    # the valuations are integers
+    for a, v in ((Q2.from_fraction(Fraction(3, 8)), 3), (Q3.from_int(18), -2),
+                 (F3.from_int(2), 0), (F3T.t() * F3T.t(), -2)):
+        assert a.log_abs() == v and type(a.log_abs()) is int
 
 
 # -- univariate gcd and division on dense payload tuples ------------------------

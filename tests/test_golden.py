@@ -94,6 +94,28 @@ GOLDEN = {
     # recursive dense kernel
     "wronskian --instance instances/witness_f3t_m2.json": ("3cd8945d818066e0cc6b842cc6043d0a", 0),
     "independence --instance instances/witness_f3t_m2.json": ("025460191a7083d789428b51c100a63a", 0),
+    # non-integral rationals over Q_2 (m = 2) and Q_3, with denominators that
+    # p divides and ones it does not; the benchmark corpora hold only
+    # integral coefficients.  Recorded while every Q payload was a Fraction,
+    # before integral ones became ints
+    "norm --instance instances/rational_q2_m2.json": ("e080ebbefe0af08dcdc0984b9308057c", 0),
+    "counting --instance instances/rational_q2_m2.json": ("d6771e5202b975749bca9a6f443ba954", 0),
+    "radical --instance instances/rational_q2_m2.json": ("7ec09d8c4f533996b90b42b9b4b9a844", 0),
+    "sqfree --instance instances/rational_q2_m2.json": ("7dcaab0f9273dfd2820db54b2656ec0a", 0),
+    "verify-basic --instance instances/rational_q2_m2.json": ("d7bcea594adcc3dc51a710493c101da7", 0),
+    "verify-abc1 --instance instances/rational_q2_m2.json": ("4bc0430fb3eed2a48a6b4c983fd2e67d", 0),
+    "norm --instance instances/rational_q3.json": ("8052af833a867e7c2e7eec602bcf96d2", 0),
+    "counting --instance instances/rational_q3.json": ("69d02918aca358edd8b47485c8e35b8e", 0),
+    "radical --instance instances/rational_q3.json": ("dabce18dded3da16bf746baf09d4e030", 0),
+    "sqfree --instance instances/rational_q3.json": ("4f23ad68bb19c896470c31ac1bd1c3a7", 0),
+    "verify-basic --instance instances/rational_q3.json": ("b6ab41a3d826c0e78dfe1f35e28efd11", 0),
+    "verify-abc1 --instance instances/rational_q3.json": ("6a7081e5a8953cf0f7d80ffe179e65f6", 0),
+    "counting --instance instances/rational_q2_m2.json --ell 2": ("6c0e848322f67bc6e4dceb2b9d7794ea", 0),
+    "verify-abc2 --instance instances/rational_q2_m2.json": ("6a33d5d950a041006cb32a5aba3dd8c9", 0),
+    "corollaries --instance instances/rational_q2_m2.json": ("936e67aa67a3f5045a308aed97ee1343", 0),
+    "counting --instance instances/rational_q3.json --ell 2": ("2d8c40d350061e8b0c743919654eed4b", 0),
+    "verify-abc2 --instance instances/rational_q3.json": ("f3a5f11cd21e8047b4e4286f4e4dcaca", 0),
+    "corollaries --instance instances/rational_q3.json": ("8d6de5c5dc34d72cfe1f25f88c7cf756", 0),
 }
 
 

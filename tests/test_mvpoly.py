@@ -348,6 +348,11 @@ def test_property_exact_div_matches_boxed_reference(fgh):
     assert q == f and q == ref
     assert list(q.terms) == list(ref.terms)  # graded-lex descending, as both build it
     _assert_canonical_terms(q)
+    # a constant divisor scales, in the same term order
+    c = MvPoly.constant(g.spec, g.m, g.leading_coeff())
+    q, ref = exact_div(f * g, c), ref_exact_div(f * g, c)
+    assert q == ref and list(q.terms) == list(ref.terms)
+    _assert_canonical_terms(q)
     # f*g + h: exact only when g divides h; the kernel and the reference agree
     # on the quotient or on NotDivisible
     outcomes = []

@@ -9,11 +9,12 @@ from polyabc.abcengine import _max_log_profile
 from polyabc.errors import CasError
 from polyabc.fields import NEG_INFINITY
 from polyabc.mvpoly import MvPoly
-from polyabc.nevanlinna import PiecewiseLinear, counting, norm_profile, truncated_counting
+from polyabc.nevanlinna import (PiecewiseLinear, counting, norm_profile, product_counting,
+                                truncated_counting)
 
-from conftest import ALL_SPECS, F3, Q2, Q3, Q5, random_poly
+from conftest import ALL_SPECS, F2, F2T, F3, F3T, Q2, Q3, Q5, property_polys, random_poly
 from helpers import (initial_slope, is_nonnegative, log_gauss_norm, min_degree, n_at,
-                     poisson_constant)
+                     poisson_constant, ref_upper_envelope)
 
 
 def _z(spec, m=1, i=0):
@@ -346,3 +347,39 @@ def test_property_upper_envelope_agrees_with_sampling(lines, extra):
     # each breakpoint is a kink where lines of two slopes meet on the envelope
     for b in M.breakpoints:
         assert len({s for s, c in lines if s * b + c == M.value(b)}) >= 2
+
+
+_numbers = st.one_of(st.integers(-12, 12), _fracs)
+
+
+@_property
+@given(st.one_of(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                          min_size=1, max_size=10),
+                 st.lists(st.tuples(_numbers, _numbers), min_size=1, max_size=8)))
+def test_property_upper_envelope_matches_the_fraction_hull(lines):
+    M = PiecewiseLinear.upper_envelope(lines)
+    assert M == ref_upper_envelope(lines)
+    assert M.values == ref_upper_envelope(lines).values
+    assert all(type(b) is Fraction for b in M.breakpoints)
+    if all(type(x) is int for line in lines for x in line):
+        # integer lines: only the breakpoints are Fractions
+        assert all(type(x) is int for x in M.slopes + M.intercepts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(property_polys([Q2, Q3, F2, F3, F2T, F3T], 3),
+       st.lists(st.integers(1, 2), min_size=3, max_size=3))
+def test_property_product_profile_is_the_sum_of_the_factors(fs, es):
+    # the Gauss norm is multiplicative: profile(prod a^e) = sum e * profile(a),
+    # and the integrated counting functions add the same way
+    powers = [(e, f) for e, f in zip(es, fs) if not f.is_zero()]
+    F = MvPoly.one(fs[0].spec, fs[0].m)
+    profile = integrated = PiecewiseLinear.line(0, 0)
+    for e, f in powers:
+        F = F * f ** e
+        profile = profile + norm_profile(f).scale(e)
+        integrated = integrated + counting(f).integrated.scale(e)
+    assert norm_profile(F) == profile
+    assert counting(F).integrated == integrated
+    assert product_counting(powers) == counting(F)
+

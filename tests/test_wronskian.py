@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from operator import floordiv, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from polyabc.errors import CasError, SearchExhausted
 from polyabc.mvpoly import MvPoly
 from polyabc.oracle import multiplicity
-from polyabc.wronskian import (bareiss_det, collection_independence_index, f_independent,
-                               f_rank, find_certificate, index_of_independence, poly_matrix_rank)
+from polyabc.wronskian import (_bareiss, _int_step, _ring_step, bareiss_det,
+                               collection_independence_index, f_independent, f_rank,
+                               find_certificate, index_of_independence, poly_matrix_rank)
 
 from conftest import F2, F2T, F3, F3T, F5, Q2, property_coeff, random_poly
 from helpers import (frobenius_power, gen_wronskian, independent_over_power_subfield,
@@ -319,3 +321,20 @@ def test_charp_multivariate_certificates_with_power_structure():
         if res.index_s > 1:
             assert not independent_over_power_subfield(fs, res.index_s - 1)
         done += 1
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5]), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_property_inline_row_steps_match_the_ring_step(p, nrows, ncols, data):
+    # the inline Z and F_p steps eliminate exactly as the generic
+    # (mul, sub, div) step, which over Z starts from prev = None
+    entries = st.integers(-9, 9) if not p else st.integers(0, p - 1)
+    M = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                           min_size=nrows, max_size=nrows))
+    div = (lambda a, b: a * pow(b, p - 2, p) % p) if p else floordiv
+    A, B = [list(r) for r in M], [list(r) for r in M]
+    rank, last, sign = _bareiss(A, _int_step(p), prev=1)
+    want = _bareiss(B, _ring_step(mul, sub, div), prev=1 if p else None)
+    assert A == B and (rank, sign) == (want[0], want[2]) and (not rank or last == want[1])
+
