@@ -25,15 +25,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CasError
-from .fields import RATFUNC_T_ADIC, int_log
+from .fields import int_log
 from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
 from .nevanlinna import PiecewiseLinear, product_counting
 from .radicals import (capped_parts, product_decomposition, radical, sigma_radical_gcd,
                        square_free_decomposition, stable_radical_level, trunc_gcd)
-from .wronskian import (WronskianCertificate, _scan_ring, _scan_rows,
-                        collection_independence_index, f_rank, find_certificate)
+from .wronskian import (WronskianCertificate, _scan_rows, collection_independence_index, f_rank,
+                        find_certificate)
 
 DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
 
@@ -42,12 +42,14 @@ DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
 # subset structure: vanishing subsums, circuits, and the partition of a sum
 
 def _gcd_of(fs, idxs) -> MvPoly:
+    """A gcd of the functions at two or more indices ``idxs``: constant, or
+    graded-lex monic as ``poly_gcd`` returns it."""
     acc = None
     for i in idxs:
         acc = fs[i] if acc is None else poly_gcd(acc, fs[i])
         if acc.is_constant():
             break
-    return acc.normalized()
+    return acc
 
 
 # Tuples here are built from lists: tuple() of an iterator of unknown length
@@ -81,20 +83,16 @@ def _vanishing(fs):
     """Every index set whose subsum vanishes, in (size, lex) order.
 
     Meet in the middle (Horowitz and Sahni) on the exact rows of
-    ``_scan_rows``, with each F_p[t] entry over F_p(t), a tuple of residues,
-    padded to one width and flattened into the row; a 0/1 subsum acts on
-    these F_p-linearly.  The subset sums of the first half of the rows are
-    tabulated by their vector, those of the negated second half are looked
-    up in that table, and a set vanishes iff its two halves meet.  That
-    forms 2 * 2^(n/2) row sums, not 2^n; over F_p and F_p(t) the vectors are
-    reduced mod p.
+    ``_scan_rows`` in their F_p coordinates (``Ring.coords``; integers over
+    Q), on which a 0/1 subsum acts linearly.  The subset sums of the first
+    half of the rows are tabulated by their vector, those of the negated
+    second half are looked up in that table, and a set vanishes iff its two
+    halves meet.  That forms 2 * 2^(n/2) row sums, not 2^n; over F_p and
+    F_p(t) the vectors are reduced mod p.
     """
     guard_poly_count(len(fs))
     spec = fs[0].spec
-    rows = _scan_rows(fs)
-    if spec.kind == RATFUNC_T_ADIC:
-        width = max((len(a) for row in rows for a in row), default=0)
-        rows = [[a[i] if i < len(a) else 0 for a in row for i in range(width)] for row in rows]
+    rows = spec.ring.coords(_scan_rows(fs))
     width, half, p = len(rows[0]), len(rows) // 2, spec.characteristic
     first = {}
     for mask, total in enumerate(_subset_sums(rows[:half], width, p)):
@@ -119,9 +117,9 @@ def _circuits(fs):
     dependent child is a circuit iff each of its one-smaller subsets is
     independent, that is, was visited by the walk.
     """
-    spec = fs[0].spec
+    ring = fs[0].spec.ring
     rows = _scan_rows(fs)
-    step, prev = _scan_ring(spec)
+    step, prev = ring.step, ring.prev
     n, cols = len(rows), range(len(rows[0]))
     free = cols  # the columns without a pivot in the current set
     independent, dependent = {0}, []

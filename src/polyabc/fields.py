@@ -10,16 +10,16 @@ All absolute values are handled on a log-base-p scale, where all three
 valuations are integers: ``a.log_abs()`` returns log_p|a| as an int and
 ``NEG_INFINITY`` for 0.
 
-Arithmetic runs through one ``Ring`` per field, built once with its
-``FieldSpec`` (``spec.ring``): functions on raw payloads -- over Q an int
+Everything that depends on the field kind sits in one ``Ring`` per field,
+built once with its ``FieldSpec`` (``spec.ring``) and chosen once, so no
+other code dispatches on the kind or knows a payload's format: over Q an int
 when integral and a ``Fraction`` otherwise (never a float), an int in
-[0, p), or a canonical (numerator, denominator) pair over F_p[t] -- chosen
-once, so no coefficient operation dispatches on the field kind.
+[0, p), or a canonical (numerator, denominator) pair over F_p[t].  The Ring
+holds the arithmetic on payloads, the univariate gcd on dense tuples of them
+(Euclid for F_p and F_p(t), an integer primitive remainder sequence for Q),
+the valuation, p^s-th roots, text and parsing, and the cleared exact rows
+that ``wronskian`` ranks and ``abcengine`` scans for vanishing subsums.
 ``Coeff`` boxes one payload; ``MvPoly`` runs its loops on the payloads.
-The Ring also owns the univariate gcd (``spec.ring.gcd``) on dense tuples of
-payloads: Euclid on one division loop, ``Ring.divmod``, for F_p and F_p(t)
--- the same loop over F_p puts F_p(t) payloads in lowest terms -- and an
-integer primitive remainder sequence for Q.
 """
 
 from __future__ import annotations
@@ -128,12 +128,7 @@ class FieldSpec:
         return Coeff(self, self.ring.one)
 
     def from_int(self, k: int) -> "Coeff":
-        if self.kind == RATIONAL_P_ADIC:
-            return Coeff(self, k)
-        if self.kind == PRIME_FIELD:
-            return Coeff(self, k % self.p)
-        kp = k % self.p
-        return Coeff(self, (((kp,) if kp else ()), (1,)))
+        return Coeff(self, self.ring.from_int(k))
 
     def from_fraction(self, q: Fraction) -> "Coeff":
         if self.kind != RATIONAL_P_ADIC:
@@ -145,9 +140,6 @@ class FieldSpec:
         if self.kind != RATFUNC_T_ADIC:
             raise CasError("VALIDATION_ERROR", "t exists only in ratfunc fields")
         return Coeff(self, ((0, 1), (1,)))
-
-    def parse(self, text: str) -> "Coeff":
-        return parse_coeff(self, text)
 
     def __str__(self):
         if self.kind == RATIONAL_P_ADIC:
@@ -275,6 +267,57 @@ def _fpt_parse(text: str, p: int):
     return _dense_trim(out, operator.not_)
 
 
+def _fpt_root(a, q):
+    """The F_p[t] polynomial whose q-th power is a, for q a power of p."""
+    out = [0] * ((len(a) - 1) // q + 1) if a else []
+    for i, c in enumerate(a):
+        if c == 0:
+            continue
+        if i % q:
+            raise CasError("NOT_A_PTH_POWER", f"t-exponent {i} not divisible by {q}")
+        out[i // q] = c  # c^q = c on F_p
+    return _dense_trim(out, operator.not_)
+
+
+def _split_top_level_slash(text: str):
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "/" and depth == 0:
+            return text[:i], text[i + 1:]
+    return text, None
+
+
+def _unwrap(text: str) -> str:
+    """text without surrounding blanks and one enclosing pair of parentheses."""
+    text = text.strip()
+    return text[1:-1] if text.startswith("(") and text.endswith(")") else text
+
+
+def _ratfunc_str(a) -> str:
+    num, den = a
+    ns = _fpt_str(num)
+    if den == (1,):
+        return ns
+    ds = _fpt_str(den)
+    if "+" in ns or "-" in ns:
+        ns = f"({ns})"
+    if "+" in ds or "-" in ds:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def _ratfunc_parse(text: str, p: int, base):
+    """The F_p(t) payload of "P(t)" or "P(t)/Q(t)"; ``base`` is the Ring of F_p."""
+    num_s, den_s = _split_top_level_slash(text)
+    num = _fpt_parse(_unwrap(num_s), p)
+    den = (1,) if den_s is None else _fpt_parse(_unwrap(den_s), p)
+    return _ratfunc_canonical(num, den, base)
+
+
 def _dense_scale(a, c, ring) -> tuple:
     mul = ring.mul
     return tuple([mul(x, c) for x in a])
@@ -394,6 +437,34 @@ def _q_canonical(x):
     return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
 
+def _q_parse(text: str):
+    """The Q payload of "n" or "n/d": ``int`` parses integer text directly,
+    and everything else, with the same errors, goes through ``Fraction``."""
+    try:
+        return int(text)
+    except ValueError:
+        return _q_canonical(Fraction(text))
+
+
+def _q_log_abs(a, p):
+    """log_p of the p-adic absolute value of the Q payload a."""
+    if not a:
+        return NEG_INFINITY
+    n, d, v = a.numerator, a.denominator, 0
+    while n % p == 0:
+        n, v = n // p, v - 1
+    while d % p == 0:
+        d, v = d // p, v + 1
+    return v
+
+
+def _q_clear(vals) -> list:
+    """The Q payloads ``vals`` times the lcm of their denominators: ints."""
+    den = lcm(*[q.denominator for q in vals])
+    if den == 1:  # integral payloads are ints
+        return vals
+    return [q.numerator * (den // q.denominator) for q in vals]
+
 
 def _ratfunc_canonical(num, den, base):
     """The F_p(t) payload num/den in lowest terms with monic denominator;
@@ -412,55 +483,111 @@ def _ratfunc_canonical(num, den, base):
     return (num, den)
 
 
-def clear_denominators(spec: FieldSpec, vals) -> list:
-    """The F_p(t) payloads ``vals`` over the lcm L of their denominators: the
-    F_p[t] numerators num * (L / den), one per payload.  When every
-    denominator is 1, L is 1 and the numerators are the answer."""
-    if all(d == (1,) for _, d in vals):
-        return [num for num, _ in vals]
-    p, base = spec.p, spec.ring.base
-    den = (1,)
-    for _, d in vals:
-        den = base.divmod(_fpt_mul(den, d, p), _dense_gcd(den, d, base))[0]
-    return [_fpt_mul(n, base.divmod(den, d)[0], p) for n, d in vals]
+def _same(x):
+    return x
+
+
+def _ring_step(mul, sub, div):
+    """The Bareiss row step over a ring given by its (mul, sub, exact division)."""
+    def step(row, prow, c, cols, prev):
+        pivot, head = prow[c], row[c]
+        for j in cols:
+            x = sub(mul(pivot, row[j]), mul(head, prow[j]))
+            row[j] = x if prev is None else div(x, prev)
+        row[c] = sub(pivot, pivot)
+    return step
+
+
+def _int_step(p: int):
+    """The Bareiss row step by inline operators over the integers (p = 0),
+    where floor division is exact, and over F_p, reduced so each entry is a
+    residue."""
+    def step(row, prow, c, cols, prev):
+        pivot, head = prow[c], row[c]
+        if p:
+            inv = pow(prev, p - 2, p)
+            for j in cols:
+                row[j] = (pivot * row[j] - head * prow[j]) * inv % p
+        else:
+            for j in cols:
+                row[j] = (pivot * row[j] - head * prow[j]) // prev
+        row[c] = 0
+    return step
+
+
+def _no_root(a, s):
+    raise CasError("WRONG_CHARACTERISTIC", "p-th roots need characteristic p")
+
+
+def _fp_root(a, s):
+    if s < 1:
+        raise CasError("VALIDATION_ERROR", "root exponent must be positive")
+    return a  # Frobenius is the identity on F_p
+
+
+def _pad_flatten(rows) -> list:
+    """Rows of F_p[t] tuples as rows of residues: each entry padded with
+    zeros to the longest entry's length and spread over that many slots."""
+    width = max((len(a) for row in rows for a in row), default=0)
+    return [[a[i] if i < len(a) else 0 for a in row for i in range(width)] for row in rows]
 
 
 class Ring:
-    """Arithmetic on the raw payloads of one field, chosen once per field.
+    """Everything that depends on the field kind, chosen once per field.
 
-    ``add``, ``sub``, ``neg``, ``mul`` and ``div`` (by a nonzero payload) take
-    and return canonical payloads; ``is_zero`` tests one; ``zero`` and ``one``
-    are the payloads of 0 and 1.  ``conv``, ``divmod`` and ``gcd`` take two
-    dense polynomials (tuples of payloads, ascending powers, no trailing
-    zeros): ``conv`` returns their product and ``divmod`` their quotient and
-    remainder, over F_p both reduced mod p once per slot rather than once per
-    step; ``gcd`` returns their monic gcd: Euclid over the field for F_p and
-    F_p(t) (``euclid``), an integer primitive remainder sequence over Q.
-    ``gcd`` is a method, so a Ring holds no reference to itself and is freed
-    with its FieldSpec without waiting for the cyclic collector.  The F_p(t)
-    ring keeps the Ring of F_p as ``base`` for its numerators and
-    denominators.  Over F_p(t), sums and products of two polynomials
-    (denominator 1) are canonical as they stand and skip
-    ``_ratfunc_canonical``.
+    Arithmetic: ``add``, ``sub``, ``neg``, ``mul`` and ``div`` (by a nonzero
+    payload) take and return canonical payloads; ``is_zero`` tests one;
+    ``zero``, ``one`` and ``from_int(k)`` are the payloads of 0, 1 and k.
+    ``conv``, ``divmod`` and ``gcd`` take dense polynomials (tuples of
+    payloads, ascending powers, no trailing zeros) and return their product,
+    quotient and remainder (over F_p reduced once per slot), and monic gcd:
+    Euclid for F_p and F_p(t) (``euclid``), an integer primitive remainder
+    sequence over Q.  ``base``, over F_p(t), is the Ring of F_p, which holds
+    the numerators and denominators; sums and products of two polynomials
+    (denominator 1) are canonical as they stand.
+
+    Valuation and text: ``log_abs(a)`` is log_p|a|, an int, NEG_INFINITY for
+    0; ``root(a, s)`` the p^s-th root; ``text(a)`` the coefficient text and
+    ``parse(text)`` its inverse.
+
+    Cleared rows: ``clear(vals)`` scales payloads by one nonzero constant
+    into an exact ring -- ints over Q (the lcm of the denominators), the
+    residues over F_p, F_p[t] over F_p(t) (the lcm of the denominators) --
+    which keeps their linear relations; ``_bareiss`` eliminates cleared rows
+    with ``step`` from first divisor ``prev``, and ``coords(rows)`` lays
+    them out in F_p coordinates (ints over Q) for 0/1 subsums.
+
+    ``gcd`` is a method and every other member closes over local variables,
+    never over the Ring, so a Ring is freed with its FieldSpec without the
+    cyclic collector.
     """
 
     __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "div", "is_zero", "conv", "divmod",
-                 "euclid", "base")
+                 "euclid", "base", "from_int", "log_abs", "root", "text", "parse", "clear",
+                 "step", "prev", "coords")
 
     def __init__(self, kind: str, p: int):
         self.is_zero, self.zero, self.one = operator.not_, 0, 1
         self.euclid = kind != RATIONAL_P_ADIC
+        self.text, self.prev, self.coords = str, 1, _same
         if kind == RATIONAL_P_ADIC:
             self.add = lambda a, b: _q_canonical(a + b)
             self.sub = lambda a, b: _q_canonical(a - b)
             self.neg, self.mul = operator.neg, lambda a, b: _q_canonical(a * b)
             self.div = lambda a, b: _q_canonical(Fraction(a, b))  # exact, never a float
+            self.from_int, self.log_abs = _same, lambda a: _q_log_abs(a, p)
+            self.root, self.parse, self.clear = _no_root, _q_parse, _q_clear
+            self.step = _int_step(0)
         elif kind == PRIME_FIELD:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: -a % p
             self.mul = lambda a, b: a * b % p
             self.div = lambda a, b: a * pow(b, p - 2, p) % p
+            self.from_int = lambda k: k % p
+            self.parse = lambda text: int(text) % p
+            self.log_abs = lambda a: 0 if a else NEG_INFINITY
+            self.root, self.clear, self.step = _fp_root, _same, _int_step(p)
         else:
             one = (1,)
             self.zero, self.one = ((), one), ((1,), one)
@@ -483,10 +610,29 @@ class Ring:
                 (n1, d1), (n2, d2) = a, b
                 return _ratfunc_canonical(_fpt_mul(n1, d2, p), _fpt_mul(d1, n2, p), base)
 
-            self.add, self.mul, self.div = add, mul, div
+            def root(a, s):
+                num, den = _fp_root(a, s)  # checks s; each F_p coefficient is its own root
+                return _fpt_root(num, p ** s), _fpt_root(den, p ** s)
+
+            def clear(vals):
+                if all(d == one for _, d in vals):
+                    return [num for num, _ in vals]
+                den = one
+                for _, d in vals:
+                    den = base.divmod(_fpt_mul(den, d, p), _dense_gcd(den, d, base))[0]
+                return [_fpt_mul(n, base.divmod(den, d)[0], p) for n, d in vals]
+
+            self.add, self.mul, self.div, self.root, self.clear = add, mul, div, root, clear
+            self.from_int = lambda k: ((k % p,) if k % p else (), one)
             self.neg = lambda a: (_fpt_neg(a[0], p), a[1])
             self.sub = lambda a, b: add(a, (_fpt_neg(b[0], p), b[1]))
             self.is_zero = lambda a: not a[0]
+            self.log_abs = lambda a: _fpt_ord(a[1]) - _fpt_ord(a[0]) if a[0] else NEG_INFINITY
+            self.text, self.parse = _ratfunc_str, lambda text: _ratfunc_parse(text, p, base)
+            # F_p[t], the level-1 recursive dense polynomials over F_p, from no divisor on
+            self.step = _ring_step(base.conv, lambda a, b: _fpt_add(a, _fpt_neg(b, p), p),
+                                   lambda a, b: base.divmod(a, b)[0])
+            self.prev, self.coords = None, _pad_flatten
         if kind == PRIME_FIELD:
             self.conv = lambda a, b: _fpt_mul(a, b, p)
             self.divmod = lambda a, b: _fpt_divmod(a, b, p)
@@ -563,74 +709,19 @@ class Coeff:
 
     def log_abs(self):
         """log_p of the absolute value, an int; NEG_INFINITY when zero."""
-        if self.is_zero():
-            return NEG_INFINITY
-        k = self.spec.kind
-        if k == PRIME_FIELD:
-            return 0
-        if k == RATIONAL_P_ADIC:
-            p, n, d, v = self.spec.p, self.val.numerator, self.val.denominator, 0
-            while n % p == 0:
-                n, v = n // p, v - 1
-            while d % p == 0:
-                d, v = d // p, v + 1
-            return v
-        num, den = self.val
-        return _fpt_ord(den) - _fpt_ord(num)
+        return self.spec.ring.log_abs(self.val)
 
     def pth_root(self, s: int = 1) -> "Coeff":
         """A b with b^(p^s) = self, in the represented field."""
-        if self.spec.characteristic == 0:
-            raise CasError("WRONG_CHARACTERISTIC", "p-th roots need characteristic p")
-        if s < 1:
-            raise CasError("VALIDATION_ERROR", "root exponent must be positive")
-        if self.spec.kind == PRIME_FIELD:
-            return self  # Frobenius is the identity on F_p
-        q = self.spec.p ** s
-        num, den = self.val
-
-        def root(poly):
-            out = [0] * ((len(poly) - 1) // q + 1) if poly else []
-            for i, c in enumerate(poly):
-                if c == 0:
-                    continue
-                if i % q:
-                    raise CasError("NOT_A_PTH_POWER", f"t-exponent {i} not divisible by {q}")
-                out[i // q] = c  # c^(p^s) = c on F_p
-            return _dense_trim(out, operator.not_)
-
-        return Coeff(self.spec, (root(num), root(den)))
+        return Coeff(self.spec, self.spec.ring.root(self.val, s))
 
     # -- text ----------------------------------------------------------------
 
     def __str__(self):
-        if self.spec.kind != RATFUNC_T_ADIC:
-            return str(self.val)
-        num, den = self.val
-        ns = _fpt_str(num)
-        if den == (1,):
-            return ns
-        ds = _fpt_str(den)
-        if "+" in ns or "-" in ns:
-            ns = f"({ns})"
-        if "+" in ds or "-" in ds:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return self.spec.ring.text(self.val)
 
     def __repr__(self):
         return f"Coeff({self.spec}, {self})"
-
-
-def _split_top_level_slash(text: str):
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            return text[:i], text[i + 1:]
-    return text, None
 
 
 def parse_coeff(spec: FieldSpec, text: str) -> Coeff:
@@ -639,22 +730,6 @@ def parse_coeff(spec: FieldSpec, text: str) -> Coeff:
     if not text:
         raise ParseError("empty coefficient")
     try:
-        if spec.kind == RATIONAL_P_ADIC:
-            return Coeff(spec, _q_canonical(Fraction(text)))
-        if spec.kind == PRIME_FIELD:
-            return Coeff(spec, int(text) % spec.p)
-        num_s, den_s = _split_top_level_slash(text)
-        num_s = num_s.strip()
-        if num_s.startswith("(") and num_s.endswith(")"):
-            num_s = num_s[1:-1]
-        num = _fpt_parse(num_s, spec.p)
-        if den_s is None:
-            den = (1,)
-        else:
-            den_s = den_s.strip()
-            if den_s.startswith("(") and den_s.endswith(")"):
-                den_s = den_s[1:-1]
-            den = _fpt_parse(den_s, spec.p)
-        return Coeff(spec, _ratfunc_canonical(num, den, spec.ring.base))
+        return Coeff(spec, spec.ring.parse(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient {text!r}: {exc}") from exc

@@ -71,27 +71,6 @@ def exponents_divisible(f: MvPoly, s: int) -> bool:
     return all(e % q == 0 for exps in f.terms for e in exps)
 
 
-def is_in_E_ps(f: MvPoly, s: int) -> bool:
-    """Membership in the subring of p^s-th powers of the represented ring.
-
-    Stricter than the closed-field condition: besides exponent divisibility,
-    every coefficient must have a p^s-th root in the represented field
-    (automatic over F_p, not over F_p(t)).
-    """
-    if f.spec.characteristic == 0:
-        raise CasError("WRONG_CHARACTERISTIC", "p-th power structure needs characteristic p")
-    if s < 1:
-        raise CasError("VALIDATION_ERROR", "power level must be positive")
-    if not exponents_divisible(f, s):
-        return False
-    for c in f.terms.values():
-        try:
-            c.pth_root(s)
-        except CasError:
-            return False
-    return True
-
-
 def poly_pth_root(f: MvPoly, s: int) -> MvPoly:
     """The g with g^(p^s) = f; NOT_A_POWER when no such g exists."""
     if f.spec.characteristic == 0:

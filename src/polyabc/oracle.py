@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import CasError, NotDivisible
-from .fields import PRIME_FIELD, RATIONAL_P_ADIC, Coeff, FieldSpec, clear_denominators
+from .fields import PRIME_FIELD, RATIONAL_P_ADIC, FieldSpec
 from .mvpoly import MvPoly, exact_div, grlex_key
 
 DEFAULT_DEGREE_CAP = 8
@@ -139,13 +139,7 @@ def _factor_fp_multivar(spec_p: int, m: int, make_poly, f_int: dict):
 
 
 def _int_poly_from_int_mv(f: MvPoly, p: int) -> dict:
-    out = {}
-    for e, c in f.terms.items():
-        v = c.val
-        if isinstance(v, tuple):  # ratfunc payload not expected here
-            raise CasError("ORACLE_FAILURE", "unexpected coefficient payload")
-        out[e] = v % p
-    return out
+    return {e: c.val % p for e, c in f.terms.items()}
 
 
 def _multiplicity_vectors(uni):
@@ -189,39 +183,39 @@ def _factor_prime_field(f: MvPoly):
 
     def make_poly(int_dict):
         return MvPoly.from_terms(f.spec, f.m,
-                                 [(e, Coeff(f.spec, c % p)) for e, c in int_dict.items()])
+                                 [(e, f.spec.from_int(c)) for e, c in int_dict.items()])
 
     return _factor_fp_multivar(p, f.m, make_poly, _int_poly_from_int_mv(f, p))
 
 
 def _factor_ratfunc(f: MvPoly):
     """Clear denominators into F_p[t, z...], factor, drop the t-only units."""
-    p = f.spec.p
-    spec = f.spec
-    # lifted polynomial in variables (t, z1..zm) with int coefficients
-    lifted = {}
-    nums = clear_denominators(spec, [c.val for c in f.terms.values()])
-    for e, num in zip(f.terms, nums):
-        for td, cc in enumerate(num):
-            if cc:
-                lifted[(td,) + e] = cc
+    spec, ring = f.spec, f.spec.ring
+    # lifted polynomial in variables (t, z1..zm) with int coefficients: the
+    # cleared coefficients in their F_p coordinates, one per power of t
+    monos = list(f.terms)
+    coords = ring.coords([ring.clear([c.val for c in f.terms.values()])])[0]
+    width = len(coords) // len(monos)
+    lifted = {(k % width,) + monos[k // width]: c for k, c in enumerate(coords) if c}
 
-    fp_spec = FieldSpec(PRIME_FIELD, p)
+    fp_spec = FieldSpec(PRIME_FIELD, spec.p)
 
     def make_lifted(int_dict):
         return MvPoly.from_terms(fp_spec, f.m + 1,
-                                 [(e, Coeff(fp_spec, c % p)) for e, c in int_dict.items()])
+                                 [(e, fp_spec.from_int(c)) for e, c in int_dict.items()])
 
-    pairs = _factor_fp_multivar(p, f.m + 1, make_lifted, lifted)
+    pairs = _factor_fp_multivar(spec.p, f.m + 1, make_lifted, lifted)
+    t = spec.t()
     out = []
     for g, e in pairs:
         if all(exp[1:] == (0,) * f.m for exp in g.terms):
             continue  # pure t factor: a unit of F_p(t)[z]
         terms = []
         for exps, c in g.terms.items():
-            td, ze = exps[0], exps[1:]
-            num = (0,) * td + (c.val,)
-            terms.append((ze, Coeff(spec, (num, (1,)))))
+            coeff = spec.from_int(c.val)
+            for _ in range(exps[0]):
+                coeff = coeff * t
+            terms.append((exps[1:], coeff))
         out.append((MvPoly.from_terms(spec, f.m, terms), e))
     return out
 

@@ -9,19 +9,20 @@ the rank of the p^s-power component matrix reaches the field rank, one rank
 per level for a tuple and for a whole collection alike.
 
 Every rank and determinant runs through one fraction-free (Bareiss)
-elimination with a row step for its exact ring: integers, residues mod p, or
-recursive dense polynomials (``mvpoly``), F_p[t] included.
+elimination with a row step for its exact ring: the field's own step
+(``Ring.step``) on cleared coefficient rows -- integers, residues mod p or
+F_p[t] -- and the step of the recursive dense polynomials (``mvpoly``) on
+polynomial matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import CasError, SearchExhausted
-from .fields import PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, clear_denominators, int_log
+from .fields import _ring_step, int_log
 from .hasse import hasse_derivative
-from .mvpoly import DenseLevel, MvPoly, dense_domain, from_dense, present_vars, to_dense
+from .mvpoly import MvPoly, dense_domain, from_dense, present_vars, to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -64,75 +65,27 @@ def _bareiss(M, step, ncols=None, prev=None):
     return rank, prev, sign
 
 
-def _ring_step(mul, sub, div):
-    """The row step over a ring given by its (mul, sub, exact division)."""
-    def step(row, prow, c, cols, prev):
-        pivot, head = prow[c], row[c]
-        for j in cols:
-            x = sub(mul(pivot, row[j]), mul(head, prow[j]))
-            row[j] = x if prev is None else div(x, prev)
-        row[c] = sub(pivot, pivot)
-    return step
-
-
-def _int_step(p: int):
-    """The row step by inline operators over the integers (p = 0), where floor
-    division is exact, and over F_p, reduced so each entry is a residue."""
-    def step(row, prow, c, cols, prev):
-        pivot, head = prow[c], row[c]
-        if p:
-            inv = pow(prev, p - 2, p)
-            for j in cols:
-                row[j] = (pivot * row[j] - head * prow[j]) * inv % p
-        else:
-            for j in cols:
-                row[j] = (pivot * row[j] - head * prow[j]) // prev
-        row[c] = 0
-    return step
-
-
 def _scan_rows(fs):
     """The coefficient rows of fs over one exact ring, in a shared monomial
     basis: a subsum vanishes iff its rows sum to zero, and any set of the
     functions has the rank of its rows.
 
-    Scaling every row by one nonzero constant keeps both, so over Q every
-    row is scaled by the lcm of all denominators, giving integers; over F_p
-    the rows are the residues; over F_p(t) every row is scaled by the lcm of
-    all denominators, giving polynomials in t over F_p: tuples of residues,
-    ascending powers, the level-1 elements of ``_scan_ring``.
+    Scaling every row by one nonzero constant keeps both, so the rows are
+    the field's cleared form of the coefficients (``Ring.clear``): integers
+    over Q, residues over F_p, polynomials in t over F_p(t).
     """
     spec = fs[0].spec
     monos = sorted({e for f in fs for e in f.terms})
-    zero = spec.zero()
-    vals = [[f.terms.get(e, zero).val for e in monos] for f in fs]
-    if spec.kind == RATIONAL_P_ADIC:
-        den = lcm(*[q.denominator for row in vals for q in row])
-        if den == 1:  # integral payloads are ints
-            return vals
-        return [[q.numerator * (den // q.denominator) for q in row] for row in vals]
-    if spec.kind == PRIME_FIELD:
-        return vals
-    nums = iter(clear_denominators(spec, [x for row in vals for x in row]))
-    return [[next(nums) for _ in row] for row in vals]
-
-
-def _scan_ring(spec):
-    """The row ``step`` and initial ``prev`` of ``_bareiss`` on rows from
-    ``_scan_rows``: integers over Q and residues over F_p, both from
-    prev = 1 on, so every zero test over F_p sees a residue; F_p[t] is
-    level 1 over the Ring of F_p."""
-    if spec.kind != RATFUNC_T_ADIC:
-        return _int_step(spec.characteristic), 1
-    level = DenseLevel(spec.ring.base, None)
-    return _ring_step(level.mul, level.sub, level.exquo), None
+    zero, w = spec.zero(), len(monos)
+    flat = spec.ring.clear([f.terms.get(e, zero).val for f in fs for e in monos])
+    return [flat[i * w:(i + 1) * w] for i in range(len(fs))]
 
 
 def field_rank(rows, spec) -> int:
     """Rank over the field of ``spec`` of coefficient rows from ``_scan_rows``,
     by Bareiss elimination over the rows' ring."""
-    step, prev = _scan_ring(spec)
-    return _bareiss([list(r) for r in rows], step, prev=prev)[0]
+    ring = spec.ring
+    return _bareiss([list(r) for r in rows], ring.step, prev=ring.prev)[0]
 
 
 def f_rank(fs) -> int:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from polyabc.errors import CasError
 from polyabc.fields import (FIELD_KINDS, NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, Coeff,
-                            FieldSpec, _fpt_add, _fpt_mul, _ratfunc_canonical,
-                            clear_denominators, parse_coeff)
+                            FieldSpec, _fpt_add, _fpt_mul, _q_canonical, _ratfunc_canonical,
+                            parse_coeff)
+from polyabc.wronskian import _scan_rows
 
 from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q3, Q5, assert_canonical,
-                      property_coeff, random_coeff)
+                      property_coeff, property_polys, random_coeff)
 from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
 
 
@@ -87,9 +88,12 @@ def test_pth_root_ratfunc():
     with pytest.raises(CasError) as exc:
         F3T.t().pth_root(1)
     assert exc.value.code == "NOT_A_PTH_POWER"
-    with pytest.raises(CasError) as exc:
-        Q2.from_int(4).pth_root(1)
-    assert exc.value.code == "WRONG_CHARACTERISTIC"
+    for a, s, code in ((Q2.from_int(4), 1, "WRONG_CHARACTERISTIC"),
+                       (Q2.from_int(4), 0, "WRONG_CHARACTERISTIC"),
+                       (F3.one(), 0, "VALIDATION_ERROR"), (t3, 0, "VALIDATION_ERROR")):
+        with pytest.raises(CasError) as exc:
+            a.pth_root(s)
+        assert exc.value.code == code
 
 
 def test_integer_embeddings_bounded():
@@ -332,7 +336,7 @@ def test_clear_denominators_matches_the_lcm(spec):
             for _, den in case:
                 big = lcm(big, den)
             want = [_fpt_mul(num, ref_fp_divmod(big, den, p)[0], p) for num, den in case]
-            assert clear_denominators(spec, case) == want
+            assert spec.ring.clear(case) == want
 
 
 def test_t_degree_guard_rejects_before_allocating():
@@ -349,3 +353,82 @@ def test_t_degree_guard_rejects_before_allocating():
         assert peak < 1 << 20
     num, den = parse_coeff(F3T, "t^1000 + 1").val
     assert len(num) == 1001 and den == (1,)
+
+
+# -- valuation, roots, text and cleared rows through the Ring, every kind ----
+
+_TEXT_SPECS = [Q2, Q3, F2, F5, F2T, F3T]
+
+
+@st.composite
+def _coeffs(draw, specs):
+    """A coefficient of a field from ``specs``: over Q_p non-integral values,
+    over F_p(t) denominators 1, t and 1 + t, as a product of up to three
+    drawn coefficients and an integer, which reaches t-degree 3 and t-powers
+    with coefficients other than 1."""
+    spec = draw(st.sampled_from(specs))
+    a = spec.from_int(draw(st.integers(1, 4)))
+    for c in draw(st.lists(property_coeff(spec), min_size=1, max_size=3)):
+        a = a * c
+    return spec, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeffs(_TEXT_SPECS))
+def test_property_coefficient_text_round_trip(drawn):
+    spec, a = drawn
+    assert parse_coeff(spec, str(a)) == a
+    assert parse_coeff(spec, f"  {a} ") == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeffs([F2, F3, F5, F2T, F3T]), st.integers(1, 2))
+def test_property_root_of_a_power(drawn, s):
+    spec, a = drawn
+    power = spec.one()
+    for _ in range(spec.p ** s):
+        power = power * a
+    assert power.pth_root(s) == a
+
+
+# integer text in the spellings int() accepts, and text only Fraction() reads
+_q_texts = st.one_of(
+    st.from_regex(r"\s*[+-]?[0-9]{1,4}(_[0-9]{1,3})?\s*", fullmatch=True),
+    st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,3}|\.[0-9]{0,2}|e[+-]?[0-9])?", fullmatch=True),
+    st.sampled_from(["٣", "-0", "007", "1/0", "1_000", "5.0", "1e3", "", "abc", "1//2", "0x10"]),
+    st.text(alphabet="0123456789+-_/. e", max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_q_texts)
+def test_property_q_parse_matches_fraction(text):
+    # the int() fast path gives Fraction's payload, and Fraction's errors
+    try:
+        want = _q_canonical(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            Q3.ring.parse(text)
+        assert str(got.value) == str(exc)
+        return
+    got = Q3.ring.parse(text)
+    assert got == want and type(got) is type(want)
+
+
+def _pad_and_flatten(rows):
+    # reference: each F_p[t] entry padded to the longest and spread into its row
+    width = max((len(a) for row in rows for a in row), default=0)
+    return [[a[i] if i < len(a) else 0 for a in row for i in range(width)] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(property_polys([Q2, F3, F2T, F3T], 3))
+def test_property_coords_of_cleared_rows(fs):
+    spec = fs[0].spec
+    if all(f.is_zero() for f in fs):
+        return
+    rows = _scan_rows(fs)
+    want = _pad_and_flatten(rows) if spec.kind == RATFUNC_T_ADIC else rows
+    assert spec.ring.coords(rows) == want
+    # a row's coordinates vanish exactly when its function does
+    for f, row in zip(fs, spec.ring.coords(rows)):
+        assert f.is_zero() == (not any(row))

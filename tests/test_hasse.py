@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from polyabc.errors import CasError
-from polyabc.hasse import (exponents_divisible, hasse_derivative, is_in_E_ps, multinomial,
+from polyabc.hasse import (exponents_divisible, hasse_derivative, multinomial,
                            poly_pth_root)
 from polyabc.mvpoly import MvPoly
 from polyabc.oracle import divides, multiplicity
@@ -123,18 +123,16 @@ def test_frobenius_compatibility():
                 assert lhs == rhs
 
 
-def test_is_in_E_ps_examples():
+def test_exponents_divisible_examples():
     x, y = MvPoly.variable(F3, 2, 0), MvPoly.variable(F3, 2, 1)
-    assert is_in_E_ps(x ** 3 * y ** 3, 1)
-    assert not is_in_E_ps(x ** 3 * y, 1)
+    assert exponents_divisible(x ** 3 * y ** 3, 1)
+    assert not exponents_divisible(x ** 3 * y, 1)
+    assert not exponents_divisible(x ** 9 * y ** 3, 2)
+    # over the closure t*z^3 = (t^(1/3) z)^3: only the exponents decide
     zt = MvPoly.variable(F3T, 1, 0)
     t_poly = MvPoly.constant(F3T, 1, F3T.t())
-    assert not is_in_E_ps(t_poly * zt ** 3, 1)
-    # but the exponent support alone is p-divisible
     assert exponents_divisible(t_poly * zt ** 3, 1)
-    with pytest.raises(CasError) as exc:
-        is_in_E_ps(MvPoly.variable(Q2, 1, 0), 1)
-    assert exc.value.code == "WRONG_CHARACTERISTIC"
+    assert not exponents_divisible(t_poly * zt ** 3, 2)
 
 
 def test_poly_pth_root_examples():

@@ -2,13 +2,14 @@ import glob
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from polyabc.errors import CasError, ParseError
-from polyabc.instances import (CorpusSpec, field_spec_from_code, generate_corpus,
+from polyabc.instances import (CorpusSpec, Instance, field_spec_from_code, generate_corpus,
                                instance_to_dict, parse_instance, serialize_instance)
 from polyabc.mvpoly import MvPoly, poly_gcd
 
-from conftest import F3, Q2
+from conftest import F2, F2T, F3, F3T, F5, Q2, Q3, property_polys
 
 
 def test_parse_minimal():
@@ -129,3 +130,17 @@ def test_vars_must_be_a_list_of_variable_names():
             parse_instance(text)
         assert exc.value.code == "VALIDATION_ERROR"
         assert "vars must be a list of variable names" in str(exc.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(property_polys([Q2, Q3, F2, F5, F2T, F3T], 3))
+def test_property_instance_document_round_trip(polys):
+    # parse(serialise(inst)) gives back the instance, over every field kind
+    # and with coefficients such as -3/4 over Q_p and (1+t)/t over F_p(t)
+    spec, m = polys[0].spec, polys[0].m
+    inst = Instance(instance_id="prop", spec=spec, var_names=[f"z{i + 1}" for i in range(m)],
+                    polys=polys, params={"k": 2})
+    text = serialize_instance(inst)
+    again = parse_instance(text)
+    assert again.spec == spec and again.polys == polys
+    assert instance_to_dict(again) == instance_to_dict(inst) and serialize_instance(again) == text

@@ -1,17 +1,18 @@
 import random
 from itertools import combinations
-from operator import floordiv, mul, sub
+from operator import floordiv, mul, not_, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyabc.errors import CasError, SearchExhausted
-from polyabc.mvpoly import MvPoly
+from polyabc.fields import RATFUNC_T_ADIC, FieldSpec, _dense_trim, _int_step, _ring_step
+from polyabc.mvpoly import DenseLevel, MvPoly
 from polyabc.oracle import multiplicity
-from polyabc.wronskian import (_bareiss, _int_step, _ring_step, bareiss_det,
-                               collection_independence_index, f_independent, f_rank,
-                               find_certificate, index_of_independence, poly_matrix_rank)
+from polyabc.wronskian import (_bareiss, bareiss_det, collection_independence_index,
+                               f_independent, f_rank, find_certificate, index_of_independence,
+                               poly_matrix_rank)
 
 from conftest import F2, F2T, F3, F3T, F5, Q2, property_coeff, random_poly
 from helpers import (frobenius_power, gen_wronskian, independent_over_power_subfield,
@@ -337,4 +338,16 @@ def test_property_inline_row_steps_match_the_ring_step(p, nrows, ncols, data):
     rank, last, sign = _bareiss(A, _int_step(p), prev=1)
     want = _bareiss(B, _ring_step(mul, sub, div), prev=1 if p else None)
     assert A == B and (rank, sign) == (want[0], want[2]) and (not rank or last == want[1])
+    if not p:
+        return
+    # the F_p(t) Ring's step on F_p[t] rows eliminates exactly as the step of
+    # the level-1 dense polynomials over F_p
+    ring = FieldSpec(RATFUNC_T_ADIC, p).ring
+    level = DenseLevel(ring.base, None)
+    poly = st.lists(entries, max_size=3).map(lambda c: _dense_trim(c, not_))
+    M = data.draw(st.lists(st.lists(poly, min_size=ncols, max_size=ncols),
+                           min_size=nrows, max_size=nrows))
+    A, B = [list(r) for r in M], [list(r) for r in M]
+    got = _bareiss(A, ring.step, prev=ring.prev)
+    assert got == _bareiss(B, _ring_step(level.mul, level.sub, level.exquo)) and A == B
 
