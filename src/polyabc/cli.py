@@ -56,9 +56,9 @@ def _counting_doc(cd):
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser with every command and its arguments, built once
-    per process: parsing leaves it unchanged."""
+def build_parser():
+    """The top-level parser and each command's own parser by name, built once
+    per process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="polyabc",
                                      description="exact ABC-theorem verification")
     sub = parser.add_subparsers(dest="command")
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--deg", type=int, default=4)
             p.add_argument("--mode", choices=("pairwise", "kwise", "none"), default="pairwise")
             p.add_argument("--check", choices=tuple(_CHECKS), default="verify-abc1")
-    return parser
+    return parser, sub.choices
 
 
 def _load_instance(args) -> Instance:
@@ -370,7 +370,7 @@ def machine_text(doc) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     if not argv or argv[0] in ("-h", "--help"):
         parser.print_help()
         return 0 if argv else 1
@@ -379,9 +379,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        args = parser.parse_args(argv)
+        # leftovers are reported as the top-level parser reports them
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    args.command = argv[0]
     try:
         doc, code = _BODIES[args.command](args)
     except CasError as exc:

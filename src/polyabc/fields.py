@@ -181,9 +181,15 @@ def _fpt_neg(a, p):
 
 def _fpt_mul(a, b, p):
     """The product over F_p, reduced once per output slot; its leading slot
-    is a product of two units mod p, so nothing needs trimming."""
+    is a product of two units mod p, so nothing needs trimming.  A constant
+    operand scales the other in one pass, and 1 returns it unchanged."""
     if not a or not b:
         return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return tuple(b) if c == 1 else tuple([c * y % p for y in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -311,8 +317,13 @@ def _ratfunc_str(a) -> str:
 
 
 def _ratfunc_parse(text: str, p: int, base):
-    """The F_p(t) payload of "P(t)" or "P(t)/Q(t)"; ``base`` is the Ring of F_p."""
+    """The F_p(t) payload of "P(t)" or "P(t)/Q(t)"; ``base`` is the Ring of F_p.
+    A sum beside the '/' must be parenthesised, so that "t+1/t" is not read
+    as (t+1)/t."""
     num_s, den_s = _split_top_level_slash(text)
+    for side in () if den_s is None else (num_s.strip(), den_s.strip()):
+        if side == _unwrap(side) and ("+" in side[1:] or "-" in side[1:]):
+            raise ParseError(f"parenthesise the sum {side!r} in {text!r}")
     num = _fpt_parse(_unwrap(num_s), p)
     den = (1,) if den_s is None else _fpt_parse(_unwrap(den_s), p)
     return _ratfunc_canonical(num, den, base)
@@ -366,9 +377,12 @@ def _dense_divmod(sub, mul, div, is_zero, zero, one):
 
 def _fpt_divmod(a, b, p):
     """Quotient and remainder over F_p; a remainder slot is reduced only when
-    it is read as a leading coefficient and at the end."""
+    it is read as a leading coefficient and at the end.  A constant divisor
+    leaves no remainder, and 1 returns a unchanged."""
     if not b:
         raise CasError("DIVISION_BY_ZERO", "polynomial division by zero")
+    if len(b) == 1:
+        return (tuple(a) if b[0] == 1 else _fpt_mul(a, (pow(b[0], p - 2, p),), p)), ()
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), tuple(a)
@@ -388,10 +402,10 @@ def _fpt_divmod(a, b, p):
 def _dense_gcd(a, b, ring) -> tuple:
     """The monic gcd of dense polynomials over the field of ``ring``, by
     Euclid; () when both are zero."""
-    divmod_ = ring.divmod
+    divmod_, one = ring.divmod, ring.one
     while b:
         a, b = b, divmod_(a, b)[1]
-    return _dense_scale(a, ring.div(ring.one, a[-1]), ring) if a else ()
+    return _dense_scale(a, ring.div(one, a[-1]), ring) if a and a[-1] != one else tuple(a)
 
 
 def _int_primitive(c):
@@ -543,8 +557,8 @@ class Ring:
     quotient and remainder (over F_p reduced once per slot), and monic gcd:
     Euclid for F_p and F_p(t) (``euclid``), an integer primitive remainder
     sequence over Q.  ``base``, over F_p(t), is the Ring of F_p, which holds
-    the numerators and denominators; sums and products of two polynomials
-    (denominator 1) are canonical as they stand.
+    the numerators and denominators; a product of two polynomials, and a sum
+    where one denominator is 1, is canonical as it stands.
 
     Valuation and text: ``log_abs(a)`` is log_p|a|, an int, NEG_INFINITY for
     0; ``root(a, s)`` the p^s-th root; ``text(a)`` the coefficient text and
@@ -595,8 +609,12 @@ class Ring:
 
             def add(a, b):
                 (n1, d1), (n2, d2) = a, b
-                if d1 == one == d2:
-                    return _fpt_add(n1, n2, p), one
+                # with one denominator 1 the sum is canonical as it stands:
+                # gcd(n1 d2 + n2, d2) = gcd(n2, d2) = 1, and d2 is monic
+                if d1 == one:
+                    return _fpt_add(_fpt_mul(n1, d2, p), n2, p), d2
+                if d2 == one:
+                    return _fpt_add(n1, _fpt_mul(n2, d1, p), p), d1
                 num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
                 return _ratfunc_canonical(num, _fpt_mul(d1, d2, p), base)
 

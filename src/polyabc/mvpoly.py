@@ -439,7 +439,10 @@ class DenseLevel:
 
             def primitive(a):
                 """The gcd of a's coefficients (None when it is a constant)
-                and a divided by it."""
+                and a divided by it; a constant coefficient makes it a unit."""
+                # not len(c) == 1: from level 3 up, such a c may hold lower variables
+                if any(c and dense_is_const(c, d - 1) for c in a):
+                    return None, a
                 cont = None
                 for c in a:
                     if c:
@@ -449,20 +452,22 @@ class DenseLevel:
                 return cont, tuple([iexquo(c, cont) for c in a])
 
             def prem(a, b):
-                """lc(b)^(deg a - deg b + 1) * a  mod  b."""
+                """lc(b)^(deg a - deg b + 1) * a  mod  b; nothing is scaled
+                when lc(b) is 1."""
                 db, lc = len(b) - 1, b[-1]
-                r, e = list(a), len(a) - db
+                r, e, unit = list(a), len(a) - db, lc == ione
                 while len(r) > db:
                     o = len(r) - 1 - db
                     lr = r.pop()  # cancels against lc * b
-                    r = [imul(x, lc) for x in r]
+                    if not unit:
+                        r = [imul(x, lc) for x in r]
                     for j in range(db):
                         if b[j]:
                             r[o + j] = isub(r[o + j], imul(lr, b[j]))
                     while r and not r[-1]:
                         r.pop()
                     e -= 1
-                if e > 0 and r:
+                if e > 0 and r and not unit:
                     q = ipow(lc, e)
                     r = [imul(x, q) for x in r]
                 return tuple(r)

@@ -3,9 +3,10 @@ along one axis, Frobenius powers, the Gauss norm at one radius, the Poisson
 constant of one polynomial, a parser
 for the text form that ``MvPoly.__str__`` prints, and term-by-term ``Coeff``
 loops for +, -, * and exact division, the reference for ``MvPoly``'s
-payload kernels, and two univariate gcds written apart from ``fields``: an
-F_p[t] Euclid on ints mod p and a Euclid on lists of ``Coeff``, the
-references for ``Ring.gcd`` and ``Ring.divmod``, and the collection index
+payload kernels, the schoolbook sum and product of F_p[t] tuples and two
+univariate gcds written apart from ``fields``: an F_p[t] Euclid on ints mod
+p and a Euclid on lists of ``Coeff``, the references for ``Ring.conv``,
+``Ring.gcd`` and ``Ring.divmod``, and the collection index
 of independence by one level search per field basis, the reference for
 ``collection_independence_index``, and the subresultant gcd and Yun's
 square-free decomposition on ``MvPoly`` values, the references for the
@@ -20,7 +21,7 @@ Functions that only the tests call live here too: ``partial_derivative``,
     from helpers import d_axis, frobenius_power, log_gauss_norm, poisson_constant, poly_from_text
     from helpers import partial_derivative
     from helpers import ref_add, ref_exact_div, ref_mul, ref_sub
-    from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
+    from helpers import ref_coeff_gcd, ref_fp_add, ref_fp_divmod, ref_fp_gcd, ref_fp_mul
     from helpers import independent_over_power_subfield, ref_collection_index
     from helpers import ref_poly_gcd, ref_square_free_decomposition
     from helpers import initial_slope, is_nonnegative, min_degree, n_at
@@ -209,7 +210,23 @@ def ref_exact_div(f: MvPoly, g: MvPoly) -> MvPoly:
 
 
 # ---------------------------------------------------------------------------
-# reference univariate gcds, dense, ascending powers
+# reference univariate arithmetic and gcds, dense, ascending powers
+
+def ref_fp_add(a, b, p):
+    """The sum of int tuples mod p (no trailing zeros)."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim([(x + y) % p for x, y in zip(a, b)], lambda x: x == 0)
+
+
+def ref_fp_mul(a, b, p):
+    """The schoolbook product of int tuples mod p (no trailing zeros)."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out, lambda x: x == 0)
+
 
 def ref_fp_divmod(a, b, p):
     """Quotient and remainder of int tuples mod p (no trailing zeros)."""

@@ -305,6 +305,31 @@ def test_field_prime_and_exponents_must_be_integers(tmp_path, p, exponent):
     assert json.loads(out)["error"] == "VALIDATION_ERROR"
 
 
+def test_unparenthesised_ratfunc_sum_is_a_parse_error(tmp_path):
+    doc = json.loads(open("instances/witness_f3t_m2.json").read())
+    doc["polys"][1][0][1] = "t+1/t"
+    path = tmp_path / "sum-beside-slash.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["norm", "--instance", str(path), "--format", "machine"])
+    assert code == 1
+    assert json.loads(out)["error"] == "PARSE_ERROR"
+
+
+def test_parse_messages_match_the_recorded_ones(monkeypatch):
+    # stdout, stderr and exit code of each invocation as recorded when one
+    # parse_args of the top-level parser read the whole command line
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(os.path.join(os.path.dirname(__file__), "cli_parse_parity.json")) as fh:
+        cases = json.load(fh)
+    assert len(cases) == 12
+    for case in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(case["argv"]))
+        assert (code, out.getvalue(), err.getvalue()) == (
+            case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
     import polyabc.radicals
     from polyabc.instances import Instance

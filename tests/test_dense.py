@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from polyabc.errors import CasError, NotDivisible
 from polyabc.fields import RATFUNC_T_ADIC
-from polyabc.mvpoly import (MvPoly, dense_domain, from_dense, grlex_key, poly_gcd, present_vars,
-                            to_dense)
+from polyabc.mvpoly import (MvPoly, dense_domain, exact_div, from_dense, grlex_key, poly_gcd,
+                            present_vars, to_dense)
 from polyabc.oracle import squarefree_factor_oracle
 from polyabc.radicals import square_free_decomposition, stable_radical_level
 
 from conftest import F2, F2T, F3, F3T, F5, Q2, property_coeff
-from helpers import degree_in, poly_from_text, ref_poly_gcd, ref_square_free_decomposition
+from helpers import (degree_in, poly_from_text, ref_exact_div, ref_poly_gcd,
+                     ref_square_free_decomposition)
 
 SPECS = [Q2, F2, F3, F5, F2T, F3T]
 ORACLE_CAP = 24
@@ -156,6 +157,56 @@ def test_property_gcd_matches_reference_and_sympy(case):
     assert ours == ref_poly_gcd(F, G)
     if _oracle_cheap(F, G):
         assert ours == _oracle_gcd(F, G)
+
+
+@st.composite
+def _unit_cases(draw):
+    """(f * h, g * h, h) whose remainder sequences meet unit coefficients:
+    "monic" makes f, g and h monic in the main variable z_m, "constant"
+    gives f another nonzero constant as leading coefficient, and "level3"
+    plants the factor z1 + c in h and the term z1 * z3^k above f's degree in
+    z3, a level-3 coefficient of length 1 that is not constant."""
+    spec = draw(st.sampled_from(SPECS))
+    shape = draw(st.sampled_from(["monic", "constant", "level3"]))
+    m = 3 if shape == "level3" else draw(st.integers(2, 3))
+    f, g, h = (draw(_polys(spec, m)) for _ in range(3))
+    h = h or MvPoly.one(spec, m)
+    z, z1 = MvPoly.variable(spec, m, m - 1), MvPoly.variable(spec, m, 0)
+
+    def lead(x, c):
+        return x + c * z ** (degree_in(x, m - 1) + 1)
+
+    one = MvPoly.one(spec, m)
+    if shape == "monic":
+        f, g, h = lead(f, one), lead(g, one), lead(h, one)
+    elif shape == "constant":
+        c = draw(property_coeff(spec).filter(lambda c: not c.is_zero()))
+        f, g = lead(f, MvPoly.constant(spec, m, c)), lead(g, one)
+    else:
+        f = lead(f, z1)
+        h = h * (z1 + MvPoly.constant(spec, m, draw(property_coeff(spec))))
+    return f * h, g * h, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_cases())
+def test_property_gcd_and_exact_div_with_unit_coefficients(case):
+    F, G, H = case
+    g = poly_gcd(F, G)
+    assert g == ref_poly_gcd(F, G)
+    for x, y in ((F, g), (G, g), (F, H)):
+        assert exact_div(x, y) == ref_exact_div(x, y)
+
+
+def test_content_of_a_level_3_coefficient_of_length_1():
+    # z1 * z3 * (z3 + z2) and z1 * (z3 + 1): the coefficients z1 and z1 * z2
+    # of z3 have the content z1, which a test of length 1 would call a unit
+    for spec in SPECS:
+        F = poly_from_text(spec, 3, "z1 * z3^2 + z1 * z2 * z3")
+        G = poly_from_text(spec, 3, "z1 * z3 + z1")
+        z1 = poly_from_text(spec, 3, "z1")
+        assert poly_gcd(F, G) == z1 == ref_poly_gcd(F, G)
+        assert exact_div(F, z1) == poly_from_text(spec, 3, "z3^2 + z2 * z3")
 
 
 def _planted(spec, m, draw):

@@ -4,18 +4,18 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyabc.errors import CasError
+from polyabc.errors import CasError, ParseError
 from polyabc.fields import (FIELD_KINDS, NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, Coeff,
-                            FieldSpec, _fpt_add, _fpt_mul, _q_canonical, _ratfunc_canonical,
-                            parse_coeff)
+                            FieldSpec, _dense_gcd, _fpt_add, _fpt_divmod, _fpt_mul, _q_canonical,
+                            _ratfunc_canonical, parse_coeff)
 from polyabc.wronskian import _scan_rows
 
 from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q3, Q5, assert_canonical,
                       property_coeff, property_polys, random_coeff)
-from helpers import ref_coeff_gcd, ref_fp_divmod, ref_fp_gcd
+from helpers import ref_coeff_gcd, ref_fp_add, ref_fp_divmod, ref_fp_gcd, ref_fp_mul
 
 
 def _p_valuation(n: int, p: int) -> int:
@@ -140,6 +140,20 @@ def test_coeff_string_round_trip(spec):
     for _ in range(200):
         a = random_coeff(rng, spec)
         assert parse_coeff(spec, str(a)) == a
+
+
+@pytest.mark.parametrize("text", ["t+1/t", "1/t+1", "t-1/t", "t + 1 / t", "2/t^2-t"])
+def test_ratfunc_sum_beside_a_slash_needs_parentheses(text):
+    # "t+1/t" used to load as (t+1)/t and "1/t+1" as 1/(t+1), with no error
+    with pytest.raises(ParseError):
+        parse_coeff(F3T, text)
+
+
+@pytest.mark.parametrize("text, want", [("(t+1)/t", "(t+1)/t"), ("1/(t+1)", "1/(t+1)"),
+                                        ("2*t^2/(t+1)", "2*t^2/(t+1)"), ("-1/t", "2/t"),
+                                        ("t+1", "t+1"), ("(2*t+2)/(t+1)", "2")])
+def test_ratfunc_parenthesised_quotients_still_load(text, want):
+    assert str(parse_coeff(F3T, text)) == want
 
 
 def test_prime_validation():
@@ -297,6 +311,79 @@ def test_property_dense_gcd_and_divmod_match_references(pair):
     for i, x in enumerate(r):
         out[i] = out[i] + Coeff(spec, x)
     assert _trimmed(out) == a
+
+
+# -- unit and constant operands of the F_p[t] kernels ------------------------------
+
+def _fp_tuples(p):
+    """F_p[t] tuples: zero, 1, other constants, and operands up to degree 11."""
+    return st.one_of(st.just(()), st.just((1,)), st.integers(1, p - 1).map(lambda c: (c,)),
+                     st.lists(st.integers(0, p - 1), min_size=2, max_size=12).map(
+                         lambda c: ref_fp_add(c, (), p)))
+
+
+@st.composite
+def _fp_kernel_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    return p, draw(_fp_tuples(p)), draw(_fp_tuples(p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fp_kernel_cases())
+def test_property_fp_kernels_match_schoolbook(case):
+    p, a, b = case
+    product = _fpt_mul(a, b, p)
+    assert product == ref_fp_mul(a, b, p) and type(product) is tuple
+    assert _dense_gcd(a, b, FieldSpec(PRIME_FIELD, p).ring) == ref_fp_gcd(a, b, p)
+    if not b:
+        with pytest.raises(CasError):
+            _fpt_divmod(a, b, p)
+        return
+    q, r = _fpt_divmod(a, b, p)
+    assert (q, r) == ref_fp_divmod(a, b, p) and type(q) is type(r) is tuple
+
+
+@st.composite
+def _one_denominator_1(draw):
+    """An F_p(t) polynomial (denominator 1) and a payload whose denominator
+    is not 1, over one field."""
+    spec = draw(st.sampled_from([F2T, F3T, FieldSpec(RATFUNC_T_ADIC, 5)]))
+    p, base = spec.p, spec.ring.base
+
+    def poly(min_size):  # a nonzero leading coefficient over min_size lower ones
+        low = draw(st.lists(st.integers(0, p - 1), min_size=min_size, max_size=6))
+        return tuple(low) + (draw(st.integers(1, p - 1)),)
+
+    a = (draw(_fp_tuples(p)), (1,))
+    b = _ratfunc_canonical(poly(0), poly(1), base)
+    assume(b[1] != (1,))
+    return spec, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_denominator_1())
+def test_property_ratfunc_sum_with_one_denominator_1_is_canonical(case):
+    # the shortcut gives the canonical form of the general formula
+    spec, a, b = case
+    R, p = spec.ring, spec.p
+    for x, y in ((a, b), (b, a)):
+        (n1, d1), (n2, d2) = x, y
+        den = ref_fp_mul(d1, d2, p)
+        plus = ref_fp_add(ref_fp_mul(n1, d2, p), ref_fp_mul(n2, d1, p), p)
+        minus = ref_fp_add(ref_fp_mul(n1, d2, p), ref_fp_mul(ref_fp_mul(n2, d1, p), (p - 1,), p), p)
+        assert R.add(x, y) == _ratfunc_canonical(plus, den, R.base)
+        assert R.sub(x, y) == _ratfunc_canonical(minus, den, R.base)
+        for val in (R.add(x, y), R.sub(x, y)):
+            assert_canonical(spec, val)
+            assert not R.is_zero(val)  # d2 != 1 cannot divide an n2 coprime to it
+
+
+def test_ratfunc_sums_with_denominator_1_keep_the_canonical_zero():
+    R = F3T.ring
+    a, b = ((2, 0, 1), (1,)), ((1,), (1, 1))
+    assert R.sub(a, a) == R.zero == ((), (1,)) and R.add(a, R.neg(a)) == R.zero
+    assert R.add(R.zero, b) == b == R.add(b, R.zero) and R.sub(b, R.zero) == b
+    assert R.sub(R.zero, b) == R.neg(b) and R.add(b, R.neg(b)) == R.zero
 
 
 def test_ring_stays_out_of_spec_identity():
