@@ -557,8 +557,8 @@ class Ring:
     quotient and remainder (over F_p reduced once per slot), and monic gcd:
     Euclid for F_p and F_p(t) (``euclid``), an integer primitive remainder
     sequence over Q.  ``base``, over F_p(t), is the Ring of F_p, which holds
-    the numerators and denominators; a product of two polynomials, and a sum
-    where one denominator is 1, is canonical as it stands.
+    the numerators and denominators; sums and products of two polynomials
+    (denominator 1) are canonical as they stand.
 
     Valuation and text: ``log_abs(a)`` is log_p|a|, an int, NEG_INFINITY for
     0; ``root(a, s)`` the p^s-th root; ``text(a)`` the coefficient text and
@@ -609,12 +609,8 @@ class Ring:
 
             def add(a, b):
                 (n1, d1), (n2, d2) = a, b
-                # with one denominator 1 the sum is canonical as it stands:
-                # gcd(n1 d2 + n2, d2) = gcd(n2, d2) = 1, and d2 is monic
-                if d1 == one:
-                    return _fpt_add(_fpt_mul(n1, d2, p), n2, p), d2
-                if d2 == one:
-                    return _fpt_add(n1, _fpt_mul(n2, d1, p), p), d1
+                if d1 == one == d2:
+                    return _fpt_add(n1, n2, p), one
                 num = _fpt_add(_fpt_mul(n1, d2, p), _fpt_mul(n2, d1, p), p)
                 return _ratfunc_canonical(num, _fpt_mul(d1, d2, p), base)
 

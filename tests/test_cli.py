@@ -315,19 +315,43 @@ def test_unparenthesised_ratfunc_sum_is_a_parse_error(tmp_path):
     assert json.loads(out)["error"] == "PARSE_ERROR"
 
 
-def test_parse_messages_match_the_recorded_ones(monkeypatch):
-    # stdout, stderr and exit code of each invocation as recorded when one
-    # parse_args of the top-level parser read the whole command line
-    monkeypatch.setenv("COLUMNS", "80")
-    with open(os.path.join(os.path.dirname(__file__), "cli_parse_parity.json")) as fh:
-        cases = json.load(fh)
-    assert len(cases) == 12
-    for case in cases:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(case["argv"]))
-        assert (code, out.getvalue(), err.getvalue()) == (
-            case["code"], case["stdout"], case["stderr"]), case["argv"]
+def _captured(call, argv):
+    """Exit code (0 or 1, as main maps it), stdout and stderr of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code == 0 else 1
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--instance", "instances/sum_char0.json", "--bogus"],
+    ["norm", "--instance", "instances/sum_char0.json", "extra", "more"],
+    ["norm", "--instance", "instances/sum_char0.json", "--ell", "x"],
+    ["norm", "--instance"],
+    ["norm", "-h"],
+    ["corpus-run", "--help"],
+])
+def test_parse_messages_match_the_top_level_parser(argv):
+    # main parses with the command's own parser; its messages and exit codes
+    # are those of one parse_args of the top-level parser on the whole line
+    parser = cli.build_parser()[0]
+    assert _captured(main, argv) == _captured(parser.parse_args, argv)
+
+
+def test_parse_without_a_command_and_abbreviated_flags():
+    for argv, code in (([], 1), (["-h"], 0), (["--help"], 0)):
+        got = _captured(main, argv)
+        assert got[0] == code and got[1].startswith("usage: polyabc") and not got[2]
+    for argv in (["frobnicate"], ["--format", "machine"]):
+        code, out, err = _captured(main, argv)
+        assert code == 1 and not out
+        assert err.startswith(f"unknown command {argv[0]!r}\nusage: polyabc")
+    short = ["norm", "--inst", "instances/sum_char0.json", "--format", "machine"]
+    assert cli.build_parser()[0].parse_args(short).instance == "instances/sum_char0.json"
+    assert _captured(main, short) == _captured(main, short[:1] + ["--instance"] + short[2:])
 
 
 def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):

@@ -363,7 +363,7 @@ def _one_denominator_1(draw):
 @settings(max_examples=300, deadline=None)
 @given(_one_denominator_1())
 def test_property_ratfunc_sum_with_one_denominator_1_is_canonical(case):
-    # the shortcut gives the canonical form of the general formula
+    # a sum with one denominator 1 is the canonical form of the general formula
     spec, a, b = case
     R, p = spec.ring, spec.p
     for x, y in ((a, b), (b, a)):
