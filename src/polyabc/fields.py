@@ -78,15 +78,18 @@ NEG_INFINITY = _NegInfinity()
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the prime bases up to 37, exact below 2^64; GUARD_EXCEEDED
+    from there, where the composite 318665857834031151167461 passes them all."""
+    if n >= 2 ** 64:
+        raise CasError("GUARD_EXCEEDED", f"p = {n} exceeds the limit of 2^64")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    for b in bases:
+        x = pow(b, (n - 1) >> r, n)
+        if x != 1 and n - 1 not in [pow(x, 1 << k, n) for k in range(r)]:
             return False
-        d += 2
     return True
 
 
@@ -738,12 +741,16 @@ class Coeff:
         return f"Coeff({self.spec}, {self})"
 
 
-def parse_coeff(spec: FieldSpec, text: str) -> Coeff:
-    """Parse the coefficient grammar: "n", "n/d", "k", "P(t)" or "P(t)/Q(t)"."""
+def parse_payload(ring: Ring, text: str):
+    """The payload of "n", "n/d", "k", "P(t)" or "P(t)/Q(t)"; else ParseError."""
     text = text.strip()
     if not text:
         raise ParseError("empty coefficient")
     try:
-        return Coeff(spec, spec.ring.parse(text))
+        return ring.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient {text!r}: {exc}") from exc
+
+
+def parse_coeff(spec: FieldSpec, text: str) -> Coeff:
+    return Coeff(spec, parse_payload(spec.ring, text))

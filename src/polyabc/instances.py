@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import CasError, ParseError
-from .fields import (FIELD_KINDS, PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC,
-                     FieldSpec, guard_load_degree, parse_coeff)
+from .fields import (FIELD_KINDS, PRIME_FIELD, RATFUNC_T_ADIC, RATIONAL_P_ADIC, Coeff,
+                     FieldSpec, guard_load_degree, parse_payload)
 from .mvpoly import MvPoly, poly_gcd
 
 FIELD_CODES = {
@@ -73,15 +73,27 @@ def poly_to_structured(f: MvPoly):
 
 
 def structured_to_poly(spec: FieldSpec, m: int, data) -> MvPoly:
-    pairs = []
+    """One pass on payloads; a wrong length or sign fails after other errors."""
+    ring, terms, shape_error = spec.ring, {}, None
     for item in data:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise CasError("VALIDATION_ERROR", f"bad term entry {item!r}")
         exps, coeff_s = item
         if not isinstance(exps, (list, tuple)):
             raise CasError("VALIDATION_ERROR", f"bad exponent vector {exps!r}")
-        pairs.append((tuple(as_int(e, "exponent") for e in exps), parse_coeff(spec, str(coeff_s))))
-    return MvPoly.from_terms(spec, m, pairs)
+        exps, c = tuple([as_int(e, "exponent") for e in exps]), parse_payload(ring, str(coeff_s))
+        if shape_error is None and len(exps) != m:
+            shape_error = CasError("DIMENSION_MISMATCH", f"exponent vector {exps} has wrong length")
+        elif shape_error is None and exps and min(exps) < 0:
+            shape_error = CasError("VALIDATION_ERROR", "negative exponent")
+        c = ring.add(terms[exps], c) if exps in terms else c
+        if ring.is_zero(c):
+            terms.pop(exps, None)
+        else:
+            terms[exps] = c
+    if shape_error is not None:
+        raise shape_error
+    return MvPoly(spec, m, {e: Coeff(spec, c) for e, c in terms.items()})
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -36,6 +36,10 @@ def grlex_key(exps: Monomial):
     return (sum(exps), exps)
 
 
+def _term_key(term):  # grlex_key of a (monomial, coefficient) pair
+    return (sum(term[0]), term[0])
+
+
 class MvPoly:
     __slots__ = ("spec", "m", "terms")
 
@@ -113,7 +117,7 @@ class MvPoly:
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex descending) order."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=_term_key, reverse=True)
 
     def _check(self, other: "MvPoly"):
         if not same_spec(self.spec, other.spec) or self.m != other.m:
@@ -208,10 +212,10 @@ class MvPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
+        text, parts = self.spec.ring.text, []
         for exps, c in self.sorted_terms():
-            cs = str(c)
-            if any(ch in cs[1:] for ch in "+-"):
+            cs = text(c.val)
+            if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
             factors = [cs]
             for i, e in enumerate(exps):
@@ -290,7 +294,7 @@ def from_dense(spec: FieldSpec, m: int, vs, a) -> MvPoly:
     items: list = []
     _flatten(a, len(vs), vs, [0] * m, items, spec.ring.is_zero)
     if len(vs) > 1:  # one variable comes out in descending degree already
-        items.sort(key=lambda item: grlex_key(item[0]), reverse=True)
+        items.sort(key=_term_key, reverse=True)
     return MvPoly(spec, m, {e: Coeff(spec, c) for e, c in items})
 
 

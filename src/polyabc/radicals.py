@@ -2,8 +2,8 @@
 
 All are read off one square-free decomposition f = c * prod a_i^i, with
 squarefree, pairwise coprime a_i (Yun's algorithm in all variables at once,
-on the recursive dense elements of ``mvpoly``: derivatives, gcds and exact
-quotients never leave them, and only the a_i become ``MvPoly`` values).
+on the recursive dense elements of ``mvpoly``: derivatives, gcds, quotients
+and p-th roots never leave them; the a_i or chain products become MvPolys).
 g = gcd(f, df/dz_1, ..., df/dz_m) leaves the radical f / g, the factors whose
 multiplicity p does not divide; peeling it off g layer by layer gives those
 a_i.  What g keeps is v^p, and v's decomposition, its multiplicities scaled
@@ -20,6 +20,9 @@ several polynomials is decomposed from its factors' decompositions
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import not_
+
 from .errors import CasError
 from .fields import int_log
 from .hasse import poly_pth_root
@@ -27,27 +30,63 @@ from .mvpoly import (MvPoly, dense_domain, dense_is_const, dense_partial, exact_
                      poly_gcd, present_vars, to_dense)
 
 
-def _derivative_gcd(f: MvPoly):
-    """f and gcd(f, df/dz_1, ..., df/dz_m) as recursive dense elements in the
-    variables vs of f, with their level."""
-    vs = present_vars(f)
-    level = dense_domain(f.spec, len(vs))
-    F = g = to_dense(f, vs)
-    for j in range(len(vs)):
+def _derivative_gcd(F, level, ring):
+    """gcd(F, dF/dv_1, ..., dF/dv_d) of the level-d element F."""
+    g = F
+    for j in range(level.depth):
         if dense_is_const(g, level.depth):
             break
-        g = level.gcd(g, dense_partial(F, level.depth, j, f.spec.ring))
-    return vs, level, F, g
+        g = level.gcd(g, dense_partial(F, level.depth, j, ring))
+    return g
+
+
+def _dense_root(a, d: int, p: int, ring):
+    """The b with b^p = a: slots 0, p, 2p, ... at every level, leaves' roots."""
+    is_zero = ring.is_zero if d == 1 else not_  # the F_p(t) zero is a truthy pair
+    if any(not is_zero(c) for j in range(1, p) for c in a[j::p]):
+        raise CasError("NOT_A_POWER", "an exponent is not divisible by p")
+    return tuple([ring.root(c, 1) if d == 1 else _dense_root(c, d - 1, p, ring) for c in a[::p]])
 
 
 def radical(f: MvPoly) -> MvPoly:
     """f / gcd(f, df/dz_1, ..., df/dz_m), graded-lex monic."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical of the zero polynomial")
-    if f.is_constant():
-        return MvPoly.one(f.spec, f.m)
-    vs, level, F, g = _derivative_gcd(f)
+    vs = present_vars(f)
+    level = dense_domain(f.spec, len(vs) or 1)
+    F = to_dense(f, vs)
+    g = _derivative_gcd(F, level, f.spec.ring)
     return from_dense(f.spec, f.m, vs, level.exquo(F, g)).normalized()
+
+
+def _dense_decomposition(f: MvPoly, top: int):
+    """f's variables vs, their level, and the parts of ``square_free_decomposition``
+    on it, those of v^(p^s) before v^(p^(s+1))'s.  A root of the lex-monic g
+    exists when one of its graded-lex monic MvPoly does."""
+    vs = present_vars(f)
+    level = dense_domain(f.spec, len(vs) or 1)
+    F = to_dense(f, vs)
+    d, spec, q, parts = level.depth, f.spec, 1, []
+    while True:
+        g = _derivative_gcd(F, level, spec.ring)
+        w = level.exquo(F, g)
+        i = q
+        while not dense_is_const(w, d):
+            y = level.gcd(w, g)
+            a = level.exquo(w, y)
+            if not dense_is_const(a, d):
+                parts.append((i, a))
+            w, g = y, level.exquo(g, y)
+            i += q
+        if top <= 0 or dense_is_const(g, d):
+            return vs, level, parts
+        try:
+            F = _dense_root(g, d, spec.characteristic, spec.ring)
+        except CasError:  # poly_pth_root names the term that fails; when no
+            # partial derivative of f moves (no part yet), it reads f's own terms
+            poly_pth_root((from_dense(spec, f.m, vs, g) if parts or q > 1 else f).normalized(), 1)
+            raise
+        q, top = q * spec.characteristic, top - 1
 
 
 def square_free_decomposition(f: MvPoly, top: int) -> tuple:
@@ -55,31 +94,12 @@ def square_free_decomposition(f: MvPoly, top: int) -> tuple:
     p^(top+1) does not divide (every i in characteristic 0), in increasing i.
 
     The a_i are squarefree, pairwise coprime and graded-lex monic; only
-    nonconstant ones are listed.  Yun's loop runs on recursive dense elements;
-    only the a_i, and the v with g = v^p that it leaves, become MvPolys."""
+    nonconstant ones are listed.  Yun's loop and the p-th roots run on
+    recursive dense elements; only the a_i become MvPolys."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "square-free decomposition of the zero polynomial")
-    if f.is_constant():
-        return ()
-    vs, level, F, g = _derivative_gcd(f)
-    d, spec = level.depth, f.spec
-    w = level.exquo(F, g)
-    moving = not dense_is_const(w, d)  # some partial derivative of f is nonzero
-    parts = []
-    i = 1
-    while not dense_is_const(w, d):
-        y = level.gcd(w, g)
-        a = level.exquo(w, y)
-        if not dense_is_const(a, d):
-            parts.append((i, from_dense(spec, f.m, vs, a).normalized()))
-        w, g = y, level.exquo(g, y)
-        i += 1
-    if top > 0 and not dense_is_const(g, d):
-        # when every partial derivative of f vanishes, g is f, and
-        # poly_pth_root reads f's terms in f's own order
-        g = from_dense(spec, f.m, vs, g) if moving else f
-        deeper = square_free_decomposition(poly_pth_root(g.normalized(), 1), top - 1)
-        parts += [(spec.characteristic * j, a) for j, a in deeper]
+    vs, _, parts = _dense_decomposition(f, top)
+    parts = [(i, from_dense(f.spec, f.m, vs, a).normalized()) for i, a in parts]
     return tuple(sorted(parts, key=lambda part: part[0]))
 
 
@@ -192,9 +212,16 @@ def sigma_radical_gcd(f: MvPoly, a: int, sigma: int, parts: tuple | None = None)
 
 def radical_chain(f: MvPoly) -> list:
     """[R_{p^0}(f), ..., R_{p^top}(f)], top = ``stable_radical_level(f)``: the
-    last entry is the terminal level, the square-free part."""
+    last entry is the terminal level, the square-free part.  R_{p^s}(f) takes
+    the parts of root levels 0 to s into one dense product."""
     if f.is_zero():
         raise CasError("ZERO_POLY", "radical chain of the zero polynomial")
     top = stable_radical_level(f)
-    parts = square_free_decomposition(f, top)
-    return [_product(f, parts, 1, s) for s in range(top + 1)]
+    vs, level, parts = _dense_decomposition(f, top)
+    p, prod, k, chain = f.spec.characteristic, level.one, 0, []
+    for s in range(top + 1):
+        new = [a for i, a in parts[k:] if not p or i % p ** (s + 1)]
+        k, prod = k + len(new), reduce(level.mul, new, prod)
+        chain.append(from_dense(f.spec, f.m, vs, prod).normalized() if new or not chain
+                     else chain[-1])
+    return chain

@@ -7,6 +7,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyabc import cli
 from polyabc.cli import main
@@ -354,30 +356,77 @@ def test_parse_without_a_command_and_abbreviated_flags():
     assert _captured(main, short) == _captured(main, short[:1] + ["--instance"] + short[2:])
 
 
-def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
+def _conversions(monkeypatch):
+    """Counters of the radicals module's conversions: to_dense calls (with
+    the polynomial converted), from_dense calls and sparse p-th roots."""
     import polyabc.radicals
-    from polyabc.instances import Instance
+    from polyabc.hasse import poly_pth_root
+    from polyabc.mvpoly import from_dense, to_dense
+
+    calls = {"to_dense": [], "from_dense": 0, "poly_pth_root": 0}
+
+    def counted_to_dense(f, vs):
+        calls["to_dense"].append(f)
+        return to_dense(f, vs)
+
+    def counted_from_dense(*args):
+        calls["from_dense"] += 1
+        return from_dense(*args)
+
+    def counted_root(*args):
+        calls["poly_pth_root"] += 1
+        return poly_pth_root(*args)
+
+    monkeypatch.setattr(polyabc.radicals, "to_dense", counted_to_dense)
+    monkeypatch.setattr(polyabc.radicals, "from_dense", counted_from_dense)
+    monkeypatch.setattr(polyabc.radicals, "poly_pth_root", counted_root)
+    return calls
+
+
+def _ladders():
+    """z^9 (z+1)^3 (z^2+1) over F_3, and z^8 (z+1)^2 (z^2+z+1)^3 over F_2,
+    whose z sits at root level 3; each with its parts and its chain, whose
+    three distinct levels are R_1, R_p and the square-free part."""
     from polyabc.mvpoly import MvPoly
-    from conftest import F3
+    from conftest import F2, F3
 
-    z, one = MvPoly.variable(F3, 1, 0), MvPoly.one(F3, 1)
-    f = z ** 9 * (z + one) ** 3 * (z * z + one)
-    calls = []
-    square_free_decomposition = polyabc.radicals.square_free_decomposition
+    out = []
+    for spec, (a, b, c) in ((F3, (9, 3, 1)), (F2, (8, 2, 3))):
+        z, one = MvPoly.variable(spec, 1, 0), MvPoly.one(spec, 1)
+        q = z * z + one if spec is F3 else z * z + z + one
+        f = z ** a * (z + one) ** b * q ** c
+        parts = sorted([(a, z), (b, z + one), (c, q)], key=lambda part: part[0])
+        chain = [q, q * (z + one), q * (z + one) * z] if spec is F3 else \
+            [q, q * (z + one), q * (z + one), q * (z + one) * z, q * (z + one) * z]
+        out.append((f, parts, chain))
+    return out
 
-    def counted(g, top):
-        calls.append(g == f)
-        return square_free_decomposition(g, top)
 
-    monkeypatch.setattr(polyabc.radicals, "square_free_decomposition", counted)
-    inst = Instance("planted-f3", F3, ["z1"], [f], {})
-    code, out = _run(["sqfree", "--instance", _write_instance(tmp_path, inst),
-                      "--format", "machine"])
-    assert code == 0
-    entry = json.loads(out)["entries"][0]
-    assert entry["terminal_level"] == 2
-    assert entry["square_free_part"] == str(z * (z + one) * (z * z + one))
-    assert calls.count(True) == 1
+def test_sqfree_builds_the_chain_once(tmp_path, monkeypatch):
+    # one decomposition: f goes to the dense kernel once, no p-th root level
+    # leaves it, and each distinct chain level comes back once
+    from polyabc.instances import Instance
+
+    for f, _, chain in _ladders():
+        calls = _conversions(monkeypatch)
+        inst = Instance(f"planted-{f.spec.p}", f.spec, ["z1"], [f], {})
+        code, out = _run(["sqfree", "--instance", _write_instance(tmp_path, inst),
+                          "--format", "machine"])
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert entry["terminal_level"] == len(chain) - 1
+        assert entry["chain"] == [[s, str(r)] for s, r in enumerate(chain)]
+        assert entry["square_free_part"] == str(chain[-1])
+        assert calls == {"to_dense": [f], "from_dense": 3, "poly_pth_root": 0}
+
+
+def test_decomposition_converts_each_part_once(monkeypatch):
+    from polyabc.radicals import square_free_decomposition, stable_radical_level
+
+    for f, parts, _ in _ladders():
+        calls = _conversions(monkeypatch)
+        assert list(square_free_decomposition(f, stable_radical_level(f))) == parts
+        assert calls == {"to_dense": [f], "from_dense": len(parts), "poly_pth_root": 0}
 
 
 def test_huge_radical_level_returns_at_once():
@@ -459,3 +508,110 @@ def test_report_leaves_no_cyclic_garbage(fmt):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_large_primes_load_at_once_and_past_2_64_are_refused(tmp_path):
+    # trial division up to sqrt(p) once took minutes on this p before any work began
+    doc = {"id": "large-p", "field": {"kind": "prime_field", "p": 1000000000000000003},
+           "vars": ["z1"], "polys": [[[[2], "1"], [[0], "1"]], [[[1], "2"]]], "params": {}}
+    path = tmp_path / "large-p.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.process_time()
+    for argv in (["norm"], ["radical"], ["sqfree"], ["counting", "--ell", "2"], ["wronskian"],
+                 ["independence"]):
+        code, out = _run([argv[0], "--instance", str(path), "--format", "machine", *argv[1:]])
+        assert code == 0, out
+    assert time.process_time() - t0 < 10
+    doc["field"]["p"] = 2 ** 64 + 13
+    path.write_text(json.dumps(doc))
+    code, out = _run(["norm", "--instance", str(path), "--format", "machine"])
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "GUARD_EXCEEDED" and "2^64" in err["message"]
+
+
+# -- malformed documents -----------------------------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                  st.text(max_size=4), st.just([]), st.just({}))
+_BAD_EXPONENT = st.one_of(st.integers(-3, -1), st.just(10 ** 6), st.booleans(),
+                          st.floats(-2, 2), st.text(max_size=2), st.none())
+_GOOD_COEFF = st.sampled_from(["1", "2", "-1/3", " 4 ", "t", "t^2+1", "(t+1)/t", "2*t*t"])
+_BAD_COEFF = st.one_of(
+    st.sampled_from(["t+1/t", "1/0", "", "  ", "t^", "((", "x", "1e5", "nan", "3/", "t^-1",
+                     "t^99999999", str(10 ** 30)]),
+    st.text(max_size=6), st.integers(-5, 5), st.floats(allow_nan=False), st.none())
+_BAD_P = st.one_of(st.sampled_from([4, 9, 561, 3215031751, 3825123056546413051, 2 ** 64 + 13,
+                                    0, 1, -3]), st.booleans(), st.floats(0, 10),
+                   st.text(max_size=2), st.none())
+_BAD_VALUES = {
+    "id": _JUNK,
+    "field": st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["prime_field", "ratfunc_t_adic"]),
+                               "p": _BAD_P}),
+        st.fixed_dictionaries({"kind": st.one_of(st.just("bogus"), _JUNK), "p": st.just(3)}),
+        st.fixed_dictionaries({"kind": st.just("prime_field")}), _JUNK),
+    "vars": st.one_of(st.lists(_JUNK, min_size=1, max_size=2),
+                      st.lists(st.sampled_from(["z1", "z2", "z3"]), max_size=3), _JUNK),
+    "polys": st.one_of(st.lists(_JUNK, max_size=2), _JUNK),
+    "params": st.one_of(st.fixed_dictionaries({}, optional={
+        "ell": _JUNK, "s": _JUNK, "k": _JUNK, "rho": st.one_of(_JUNK, st.lists(_JUNK, max_size=2)),
+        "gamma": st.one_of(_JUNK, st.lists(_BAD_EXPONENT, max_size=3))}), _JUNK),
+}
+
+
+@st.composite
+def _term(draw, m):
+    """A term entry of an m-variable polynomial: well formed six times in ten."""
+    fault = draw(st.integers(0, 9))
+    exps = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    coeff = draw(_BAD_COEFF if fault == 6 else _GOOD_COEFF)
+    if fault == 7:
+        exps[draw(st.integers(0, m - 1))] = draw(_BAD_EXPONENT)
+    elif fault == 8:
+        exps = draw(st.lists(st.integers(0, 3), max_size=3).filter(lambda e: len(e) != m))
+    elif fault == 9:
+        return draw(st.one_of(_JUNK, st.just(exps), st.just([exps, coeff, coeff]),
+                              st.tuples(_JUNK, st.just(coeff)).map(list)))
+    return [exps, coeff]
+
+
+@st.composite
+def _documents(draw):
+    """Instance documents, well formed but for up to two top-level keys that
+    are malformed or missing, and the faults of their terms."""
+    m = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["prime_field", "rational_p_adic", "ratfunc_t_adic"]))
+    doc = {"id": draw(st.text(max_size=5)),
+           "field": {"kind": kind, "p": draw(st.sampled_from([2, 3, 5, 1000000000000000003]))},
+           "vars": [f"z{i + 1}" for i in range(m)],
+           "polys": draw(st.lists(st.lists(_term(m), min_size=1, max_size=3), min_size=1,
+                                  max_size=3)),
+           "params": {}}
+    for key in draw(st.sets(st.sampled_from(sorted(_BAD_VALUES)), max_size=2)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_BAD_VALUES[key])
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents(), st.sampled_from(["norm", "radical", "sqfree", "counting", "hasse",
+                                      "verify-basic"]))
+def test_property_malformed_documents_exit_1_with_a_json_error(doc, command):
+    # main never raises: every document gives a report, or exit 1 with a
+    # machine error object
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        code, out = _run([command, "--instance", path, "--format", "machine"])
+    report = json.loads(out)
+    if code == 1:
+        assert set(report) == {"error", "message"}
+        assert isinstance(report["error"], str) and isinstance(report["message"], str)
+    else:
+        assert code in (0, 2) and "error" not in report

@@ -13,7 +13,8 @@ from polyabc.fields import RATFUNC_T_ADIC
 from polyabc.mvpoly import (MvPoly, dense_domain, exact_div, from_dense, grlex_key, poly_gcd,
                             present_vars, to_dense)
 from polyabc.oracle import squarefree_factor_oracle
-from polyabc.radicals import square_free_decomposition, stable_radical_level
+from polyabc.radicals import (_dense_root, radical_chain, square_free_decomposition,
+                              stable_radical_level)
 
 from conftest import F2, F2T, F3, F3T, F5, Q2, property_coeff
 from helpers import (degree_in, poly_from_text, ref_exact_div, ref_poly_gcd,
@@ -103,8 +104,8 @@ def test_levels_leave_no_cyclic_garbage():
 # -- differential tests ------------------------------------------------------------
 
 def _polys(spec, m):
-    """Polynomials in m variables with at most 3 terms; partial degree <= 2,
-    <= 1 in three variables."""
+    """Polynomials in m variables with at most 3 terms; partial degree <= 2
+    in two variables, <= 1 in one or three."""
     top = 2 if m == 2 else 1
     term = st.tuples(st.tuples(*[st.integers(0, top)] * m), property_coeff(spec))
     return st.lists(term, max_size=3).map(lambda ts: MvPoly.from_terms(spec, m, ts))
@@ -209,27 +210,34 @@ def test_content_of_a_level_3_coefficient_of_length_1():
         assert exact_div(F, z1) == poly_from_text(spec, 3, "z3^2 + z2 * z3")
 
 
-def _planted(spec, m, draw):
-    """u * v^2 * w^p (w^3 over Q), or over F_p a p-th power u^p, whose partial
-    derivatives all vanish; over F_p(t) optionally times the inseparable
-    irreducible z_m^p - t.  The total degree stays <= 12, and <= 8 over
-    F_p(t), where the t-coefficients of a remainder sequence swell: at
-    degree 12 one decomposition can take a minute, before and after the
-    dense kernel alike (the gcd tail of ROADMAP items 9 and 13)."""
+def _planted(spec, m, draw, budget=None):
+    """u * v^2 * w^q (w^3 over Q), or over F_p a p^k-th power u^q alone, whose
+    partial derivatives all vanish, with q drawn from p, p^2 and p^3 as
+    radical_ladder stacks them; over F_p(t) optionally times the inseparable
+    irreducible z_m^p - t.  The total degree stays <= budget: 12 by default,
+    and <= 8 over F_p(t), where the t-coefficients of a remainder sequence
+    swell: at degree 12 one decomposition can take a minute, before and after
+    the dense kernel alike (the gcd tail of ROADMAP items 9 and 13).  An
+    exponent past the budget falls to the largest power of p that fits."""
     p = spec.characteristic
     u, v, w = (draw(_polys(spec, m)) for _ in range(3))
     one = MvPoly.one(spec, m)
     u, v, w = (x if not x.is_zero() else one for x in (u, v, w))
+    q = p ** draw(st.integers(1, 3)) if p else 3
     if p and draw(st.booleans()):
-        factors = [(u, p)]
+        factors = [(u, q)]
     else:
-        factors = [(u, 1), (v, 2), (w, p or 3)]
+        factors = [(u, 1), (v, 2), (w, q)]
     if spec.kind == RATFUNC_T_ADIC and draw(st.booleans()):
         factors.append((MvPoly.variable(spec, m, m - 1) ** p
                         - MvPoly.constant(spec, m, spec.t()), 1))
-    f, budget = one, 8 if spec.kind == RATFUNC_T_ADIC else 12
+    if budget is None:
+        budget = 8 if spec.kind == RATFUNC_T_ADIC else 12
+    f = one
     for x, e in factors:
-        e = min(e, budget // max(x.total_degree(), 1))
+        cap = budget // max(x.total_degree(), 1)
+        while e > cap:
+            e = e // p if p and e % p == 0 else cap
         budget -= e * x.total_degree()
         f = f * x ** e
     return f
@@ -238,25 +246,46 @@ def _planted(spec, m, draw):
 @st.composite
 def _sqf_cases(draw):
     spec = draw(st.sampled_from(SPECS))
+    if spec is F3 and draw(st.booleans()):
+        # one variable up to radical_ladder's degree 31, as in its (27, 2, 1) shape
+        return _planted(spec, 1, draw, budget=31)
     return _planted(spec, draw(st.integers(2, 3)), draw)
+
+
+def _chain_from_parts(f, parts):
+    """R_{p^0}(f), ..., R_{p^top}(f) as products of the decomposition's parts
+    (i, a): level s takes the a whose i p^(s+1) does not divide."""
+    p, top = f.spec.characteristic, stable_radical_level(f)
+    chain = []
+    for s in range(top + 1):
+        r = MvPoly.one(f.spec, f.m)
+        for i, a in parts:
+            if not p or i % p ** (s + 1):
+                r = r * a
+        chain.append(r)
+    return chain
 
 
 @settings(max_examples=150, deadline=None)
 @given(_sqf_cases())
 def test_property_square_free_decomposition_matches_reference(f):
-    # equal parts, or NOT_A_POWER with the reference's message, at level 0 and
-    # at the stable level
+    # equal parts, or NOT_A_POWER with the reference's message, at every level
+    # up to the stable one; the radical chain level by level
     if f.is_zero():
         return
-    for top in (0, stable_radical_level(f)):
-        got = _outcome(lambda: square_free_decomposition(f, top))
-        assert got == _outcome(lambda: ref_square_free_decomposition(f, top))
+    for s in range(stable_radical_level(f) + 1):
+        got = _outcome(lambda: square_free_decomposition(f, s))
+        ref = _outcome(lambda: ref_square_free_decomposition(f, s))
+        assert got == ref
         if got[1]:
             assert got[1][0] == "NOT_A_POWER" and f.spec.kind == RATFUNC_T_ADIC
+    # ref is the reference at the stable level, which the chain reaches
+    chain = _outcome(lambda: radical_chain(f))
+    assert chain == (ref if ref[1] else (_chain_from_parts(f, ref[0]), None))
     if got[1] is None and not f.is_constant() and _oracle_cheap(f):
         # sympy's irreducible factors, grouped by multiplicity, are the parts
         want = {}
-        for P, e in squarefree_factor_oracle(f, degree_cap=ORACLE_CAP):
+        for P, e in squarefree_factor_oracle(f, degree_cap=max(ORACLE_CAP, f.total_degree())):
             want[e] = want.get(e, MvPoly.one(f.spec, f.m)) * P
         assert dict(got[0]) == want
 
@@ -272,6 +301,10 @@ def test_property_square_free_decomposition_matches_reference(f):
     # so g's term order decides which one the message names: the graded-lex
     # first
     (F3T, "z1^9 * z2 + 2*t * z1^6 * z2 + t^2 * z1^3 * z2", 2),
+    # no partial derivative moves, so f's own term order decides the name:
+    # t+1 here, and t when the two terms swap
+    (F2T, "z1^4 + (t+1) * z2^2 + t * z1^2", 1),
+    (F2T, "z1^4 + t * z1^2 + (t+1) * z2^2", 1),
 ])
 def test_inseparable_inputs_fail_as_the_reference_does(spec, text, top):
     m = 3 if "z3" in text else 2
@@ -279,3 +312,17 @@ def test_inseparable_inputs_fail_as_the_reference_does(spec, text, top):
     got = _outcome(lambda: square_free_decomposition(f, top))
     assert got[1] is not None and got[1][0] == "NOT_A_POWER"
     assert got == _outcome(lambda: ref_square_free_decomposition(f, top))
+
+
+def test_dense_p_th_root_keeps_every_p_th_slot_and_roots_the_leaves():
+    # the level-2 element of (z1^2 + t^2) z2^2 + 1 over F_2(t): its square
+    # root z1 z2 + t z2 + 1 keeps slots 0, 2, ... of both levels, and the
+    # F_p(t) zero ((), (1,)) in an odd slot is a zero, though a truthy pair
+    ring = F2T.ring
+    zero, one, t2 = ring.zero, ring.one, ((0, 0, 1), (1,))
+    a = ((one,), (), (t2, zero, one))
+    assert _dense_root(a, 2, 2, ring) == ((one,), (((0, 1), (1,)), one))
+    # an odd slot that holds a nonzero element, or a leaf without a root
+    for bad in (((one,), (one,)), ((((0, 1), (1,)),),)):
+        with pytest.raises(CasError):
+            _dense_root(bad, 2, 2, ring)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polyabc.errors import CasError, ParseError
 from polyabc.fields import (FIELD_KINDS, NEG_INFINITY, PRIME_FIELD, RATFUNC_T_ADIC, Coeff,
                             FieldSpec, _dense_gcd, _fpt_add, _fpt_divmod, _fpt_mul, _q_canonical,
-                            _ratfunc_canonical, parse_coeff)
+                            _ratfunc_canonical, is_prime, parse_coeff)
 from polyabc.wronskian import _scan_rows
 
 from conftest import (ALL_SPECS, F2, F2T, F3, F3T, F5, Q2, Q3, Q5, assert_canonical,
@@ -519,3 +519,33 @@ def test_property_coords_of_cleared_rows(fs):
     # a row's coordinates vanish exactly when its function does
     for f, row in zip(fs, spec.ring.coords(rows)):
         assert f.is_zero() == (not any(row))
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_20000():
+    assert [n for n in range(20000) if is_prime(n)] == \
+        [n for n in range(20000) if _trial_division_prime(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (561, False),                    # Carmichael
+    (3215031751, False),             # strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),    # strong pseudoprime to every base up to 23
+    (2 ** 61 - 1, True),
+    (1000000000000000003, True),
+    (2 ** 64 - 59, True),            # the largest prime below the limit
+])
+def test_is_prime_decides_hard_cases_at_once(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_the_limit_and_beyond():
+    # past 2^64 the twelve bases no longer decide: 318665857834031151167461 is
+    # composite and passes them all
+    for n in (2 ** 64, 2 ** 64 + 13, 318665857834031151167461):
+        with pytest.raises(CasError) as exc:
+            is_prime(n)
+        assert exc.value.code == "GUARD_EXCEEDED" and "2^64" in str(exc.value)

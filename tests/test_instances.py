@@ -3,10 +3,13 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyabc.errors import CasError, ParseError
-from polyabc.instances import (CorpusSpec, Instance, field_spec_from_code, generate_corpus,
-                               instance_to_dict, parse_instance, serialize_instance)
+from polyabc.fields import parse_coeff
+from polyabc.instances import (CorpusSpec, Instance, as_int, field_spec_from_code,
+                               generate_corpus, instance_to_dict, parse_instance,
+                               serialize_instance, structured_to_poly)
 from polyabc.mvpoly import MvPoly, poly_gcd
 
 from conftest import F2, F2T, F3, F3T, F5, Q2, Q3, property_polys
@@ -144,3 +147,45 @@ def test_property_instance_document_round_trip(polys):
     again = parse_instance(text)
     assert again.spec == spec and again.polys == polys
     assert instance_to_dict(again) == instance_to_dict(inst) and serialize_instance(again) == text
+
+
+def _ref_structured_to_poly(spec, m, data):
+    """The term-list loader as it was: every entry parsed to a Coeff first,
+    then ``MvPoly.from_terms``, which checks lengths and signs and adds
+    terms with equal exponents."""
+    pairs = []
+    for item in data:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise CasError("VALIDATION_ERROR", f"bad term entry {item!r}")
+        exps, coeff_s = item
+        if not isinstance(exps, (list, tuple)):
+            raise CasError("VALIDATION_ERROR", f"bad exponent vector {exps!r}")
+        pairs.append((tuple([as_int(e, "exponent") for e in exps]),
+                      parse_coeff(spec, str(coeff_s))))
+    return MvPoly.from_terms(spec, m, pairs)
+
+
+def _outcome(compute):
+    """The terms in their order, or the code and message of the CasError."""
+    try:
+        return list(compute().terms.items()), None
+    except CasError as exc:
+        return None, (exc.code, str(exc))
+
+
+_ENTRY = st.one_of(
+    st.tuples(st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+              st.sampled_from(["1", "2", "0", "-1", "t", "1/2", "x", "", 3])).map(list),
+    st.tuples(st.lists(st.one_of(st.integers(0, 2), st.booleans(), st.just(1.0)), max_size=2),
+              st.just("1")).map(list),
+    st.sampled_from([None, [], [[1, 0]], [[1, 0], "1", "1"], [5, "1"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Q2, F3, F3T]), st.integers(1, 2), st.lists(_ENTRY, max_size=6))
+def test_property_term_loader_matches_the_two_pass_reference(spec, m, data):
+    # equal terms in equal order (sums, cancellations, re-insertions), or the
+    # same error: entry, exponent and coefficient errors of every term before
+    # the first length or sign error
+    assert _outcome(lambda: structured_to_poly(spec, m, data)) == \
+        _outcome(lambda: _ref_structured_to_poly(spec, m, data))
