@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from operator import mul
 
 from .errors import CasError
 from .fields import int_log
@@ -30,8 +31,9 @@ from .hasse import exponents_divisible
 from .instances import guard_poly_count
 from .mvpoly import MvPoly, exact_div, poly_gcd
 from .nevanlinna import PiecewiseLinear, product_counting
-from .radicals import (capped_parts, product_decomposition, radical, sigma_radical_gcd,
-                       square_free_decomposition, stable_radical_level, trunc_gcd)
+from .radicals import (capped_parts, coprime_base, product_decomposition, radical,
+                       sigma_radical_gcd, square_free_decomposition, stable_radical_level,
+                       trunc_gcd)
 from .wronskian import (WronskianCertificate, _scan_rows, collection_independence_index, f_rank,
                         find_certificate)
 
@@ -40,17 +42,6 @@ DEFAULT_RHOS = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3, 5, 8))
 
 # ---------------------------------------------------------------------------
 # subset structure: vanishing subsums, circuits, and the partition of a sum
-
-def _gcd_of(fs, idxs) -> MvPoly:
-    """A gcd of the functions at two or more indices ``idxs``: constant, or
-    graded-lex monic as ``poly_gcd`` returns it."""
-    acc = None
-    for i in idxs:
-        acc = fs[i] if acc is None else poly_gcd(acc, fs[i])
-        if acc.is_constant():
-            break
-    return acc
-
 
 # Tuples here are built from lists: tuple() of an iterator of unknown length
 # allocates a larger tuple and shrinks it, bypassing the free list of the
@@ -253,14 +244,19 @@ class AbcConstants:
                 "a_bar": self.a_bar, "sigma": self.sigma, "k": self.k, "k_bar": self.k_bar}
 
 
-def detect_k(fs, indices=None, max_k=None) -> int | None:
-    """Smallest k with every k-subset gcd equal to 1, None if none exists."""
-    idxs = sorted(indices if indices is not None else range(len(fs)))
-    hi = max_k if max_k is not None else len(idxs)
-    for k in range(2, hi + 1):
-        if all(_gcd_of(fs, sub).is_constant() for sub in combinations(idxs, k)):
-            return k
-    return None
+def detect_k(base, indices, max_k=None) -> int | None:
+    """Smallest k <= max_k (default len(indices)) with every k-subset of
+    indices of gcd 1: 1 + the most indices j with e[j] > 0 for one (b, e) of
+    the tuple's ``coprime_base``, and at least 2; None if above max_k."""
+    k = max([2] + [1 + sum(1 for j in indices if e[j]) for _, e in base])
+    return k if k <= (len(indices) if max_k is None else max_k) else None
+
+
+def _first_bad_subset(base, k) -> list | None:
+    """The lex-first k-subset with a nonconstant gcd, or None: the least over
+    the (b, e) of the ``coprime_base`` of the k smallest j with e[j] > 0."""
+    supports = ([j for j, x in enumerate(e) if x] for _, e in base)
+    return min((sup[:k] for sup in supports if len(sup) >= k), default=None)
 
 
 @dataclass
@@ -273,11 +269,12 @@ class BlockAnalysis:
     wronskian_product: MvPoly | None = None
 
 
-def analyze_block(fs, indices=None, k_override=None, vanishing=None) -> BlockAnalysis:
+def analyze_block(fs, indices=None, k_override=None, vanishing=None, *, base) -> BlockAnalysis:
     """Partition + certificates + constants for one minimal vanishing sum.
 
     ``vanishing``, the vanishing index sets of all of ``fs`` when given,
-    spares the partition a walk of its own over the block.
+    spares the partition a walk of its own over the block; ``base``, the
+    ``coprime_base`` of all of ``fs``, gives k unless ``k_override`` does.
     """
     idxs = sorted(indices if indices is not None else range(len(fs)))
     sub = [fs[i] for i in idxs]
@@ -310,12 +307,8 @@ def analyze_block(fs, indices=None, k_override=None, vanishing=None) -> BlockAna
                        "empty multi-index pool; hypotheses exclude this")
     a = sum(pool[-1])
     b = sum(sum(g) for g in pool)
-    if k_override is not None:
-        k = k_override
-    else:
-        k = detect_k(fs, idxs)
-        if k is None:
-            k = len(idxs)  # only the full set has gcd 1 (guaranteed for blocks)
+    # None: only the full set has gcd 1 (guaranteed for blocks)
+    k = k_override if k_override is not None else detect_k(base, idxs) or len(idxs)
     k_bar = min(k, d)
     top = pool[::-1][:max(k_bar - 1, 0)]
     a_bar = sum(sum(g) for g in top)
@@ -473,32 +466,32 @@ def _common_gates(rep: AbcReport, fs) -> bool:
     return rep.verdict == "HOLDS"
 
 
-def _subsum_gcd_condition(fs, vanishing):
-    """The weak coprimality condition: every vanishing subsum has gcd 1."""
+def _subsum_gcd_condition(base, vanishing):
+    """The weak coprimality condition: every vanishing subsum has gcd 1.  Its
+    gcd is the graded-lex monic product of b^min(e[j] for j in it) over the
+    (b, e) of the ``coprime_base`` with every e[j] > 0."""
     for sub in vanishing:
-        if len(sub) >= 2:
-            g = _gcd_of(fs, sub)
-            if not g.is_constant():
-                return False, f"subsum {list(sub)} vanishes with gcd {g}"
+        common = [b ** min(e[j] for j in sub) for b, e in base if all(e[j] for j in sub)]
+        if len(sub) >= 2 and common:
+            return False, f"subsum {list(sub)} vanishes with gcd {reduce(mul, common)}"
     return True, ""
 
 
-def _analyze_blocks(rep: AbcReport, fs, blocks, vanishing):
-    analyses = []
+def _analyze_blocks(rep: AbcReport, fs, blocks, vanishing, base):
+    live = []
     for block in blocks:
-        ana = analyze_block(fs, block, vanishing=vanishing)
-        analyses.append(ana)
+        ana = analyze_block(fs, block, vanishing=vanishing, base=base)
         if ana.all_constant:
             rep.blocks.append({"indices": ana.indices, "all_constant": True})
             continue
+        live.append(ana)
         rep.blocks.append({"indices": ana.indices, "all_constant": False,
                            "constants": ana.constants.as_dict()})
         for label, members, cert in ana.certificates:
             rep.certificates.append(_cert_dict(label, members, cert))
-    live = [a for a in analyses if not a.all_constant]
     if not live:
         raise CasError("CONSTANT_INVARIANT", "every block is constant yet not all functions are")
-    return analyses, live
+    return live
 
 
 def _aggregate_constants(live) -> dict:
@@ -543,12 +536,12 @@ def verify_abc_first(fs, rhos=None, instance_id="") -> AbcReport:
     fs = list(fs)
     if not _common_gates(rep, fs):
         return rep
-    vanishing = _vanishing(fs)
-    ok, witness = _subsum_gcd_condition(fs, vanishing)
+    vanishing, base = _vanishing(fs), coprime_base(fs)
+    ok, witness = _subsum_gcd_condition(base, vanishing)
     if not rep.add_hypothesis("vanishing_subsum_gcd", ok, witness=witness):
         return rep
     blocks = split_vanishing_subsums(fs, vanishing)
-    analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
+    live = _analyze_blocks(rep, fs, blocks, vanishing, base)
     spec = fs[0].spec
     charp = spec.characteristic > 0
 
@@ -603,8 +596,9 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
         return rep
     spec = fs[0].spec
     n = len(fs) - 1
+    base = coprime_base(fs)
     if k is None:
-        k = detect_k(fs, max_k=n)
+        k = detect_k(base, range(len(fs)), n)
         if k is None:
             rep.add_hypothesis("k_subset_gcd", False,
                                witness="no level k <= n has all k-subset gcds equal to 1")
@@ -614,10 +608,9 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
         if not 2 <= k <= n:
             rep.add_hypothesis("k_range", False, witness=f"k={k} outside [2, {n}]")
             return rep
-        bad = next((sub for sub in combinations(range(len(fs)), k)
-                    if not _gcd_of(fs, sub).is_constant()), None)
+        bad = _first_bad_subset(base, k)
         if not rep.add_hypothesis("k_subset_gcd", bad is None,
-                                  witness=f"gcd over {list(bad)} nontrivial" if bad else ""):
+                                  witness=f"gcd over {bad} nontrivial" if bad else ""):
             return rep
     d = f_rank(fs)
     k_bar = min(k, d)
@@ -626,16 +619,15 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
     blocks = split_vanishing_subsums(fs, vanishing)
     multi = len(blocks) > 1
     # read by the squarefree section (several blocks) and the triple bound
-    gcd_cond = (_subsum_gcd_condition(fs, vanishing)
-                if multi or (spec.characteristic == 0 and k == 3) else None)
+    gcd_cond = _subsum_gcd_condition(base, vanishing)
     if k_bar > 2:
         if not rep.add_hypothesis("no_vanishing_subsum", not multi,
                                   witness=f"blocks {blocks}" if multi else ""):
-            _abcsf_section(rep, fs, max_norm, None, d, k_bar, rhos, blocks, gcd_cond, k == 2)
+            _abcsf_section(rep, fs, max_norm, None, d, k_bar, rhos, blocks, gcd_cond, base)
             return rep
 
     if not multi:
-        ana = analyze_block(fs, k_override=k, vanishing=vanishing)
+        ana = analyze_block(fs, k_override=k, vanishing=vanishing, base=base)
         c_global = ana.constants.c
         rep.blocks.append({"indices": ana.indices, "all_constant": False,
                            "constants": ana.constants.as_dict()})
@@ -652,14 +644,14 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             sub = [fs[i] for i in block]
             if all(f.is_constant() for f in sub):
                 continue
-            if len(block) < 3 or detect_k(fs, block, max_k=len(block) - 1) is None:
+            if len(block) < 3 or detect_k(base, block, len(block) - 1) is None:
                 rep.add_hypothesis(
                     "block_coprimality", False,
                     witness=f"block {block} admits no internal coprimality level")
                 _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond,
-                               k == 2)
+                               base)
                 return rep
-        analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
+        live = _analyze_blocks(rep, fs, blocks, vanishing, base)
         a_bar = max(a.constants.a_bar for a in live)
         b_star = min(a.constants.b for a in live)
         agg = _aggregate_constants(live)
@@ -669,17 +661,16 @@ def verify_abc_second(fs, k=None, rhos=None, instance_id="") -> AbcReport:
             f"multi_block: per-index constants max a_bar={a_bar}, min b={b_star}; "
             "no relation between them is asserted")
 
-    # F = prod f_j is never formed: its parts are merged from the f_j's, with
-    # no gcd when k = 2 has proved the f_j pairwise coprime, and the objects
-    # of F are read off them unmultiplied; fs[0] fixes the ring
-    parts = product_decomposition(fs, coprime=k == 2)
+    # F = prod f_j is never formed: its parts are read off the coprime base,
+    # and the objects of F off them unmultiplied; fs[0] fixes the ring
+    parts = product_decomposition(base)
     G = capped_parts(fs[0], parts, a_bar)
     lhs_deg = _max_deg(fs)
     rep.notes.append(f"product_truncation_degree={_degree(G)}")
     rep.add_degree_check("product", lhs_deg, _degree(G) - b_star)
     margin = product_counting(G).integrated + PiecewiseLinear.line(-b_star, 0) - max_norm
     rep.add_margin("product_margin", margin, rhos, primary=True)
-    _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond, k == 2, parts)
+    _abcsf_section(rep, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond, base, parts)
     if spec.characteristic == 0 and k == 3:
         _bb_section(rep, fs, _degree(capped_parts(fs[0], parts, 1)), gcd_cond)  # R(F) = S(F)
     return rep
@@ -693,12 +684,12 @@ def _step_c(fs) -> int:
 
 
 def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, blocks, gcd_cond,
-                   coprime, parts=None):
+                   base, parts=None):
     """Squarefree-part corollary: max log|f_j| <= A (N^(1)_F - log r) + O(1),
     with max_norm the profile of max log|f_j|, parts the square-free
-    decomposition of F = prod f_j, merged here from the f_j's (pairwise
-    coprime when ``coprime``) if not given, and gcd_cond the subsum gcd
-    condition, read when there are several blocks."""
+    decomposition of F = prod f_j, read here off the f_j's coprime base if
+    not given, and gcd_cond the subsum gcd condition, read when there are
+    several blocks."""
     if c_global is None:
         c_global = _step_c(fs)
     if len(blocks) > 1:
@@ -711,7 +702,7 @@ def _abcsf_section(rep: AbcReport, fs, max_norm, c_global, d, k_bar, rhos, block
         rep.notes.append("squarefree_corollary_skipped: empty truncation bound")
         return
     if parts is None:
-        parts = product_decomposition(fs, coprime)
+        parts = product_decomposition(base)
     S = capped_parts(fs[0], parts, 1)
     lhs_deg = _max_deg(fs)
     rep.add_degree_check("squarefree_corollary", lhs_deg, big_a * (_degree(S) - 1))
@@ -744,12 +735,12 @@ def verify_corollaries(fs, rhos=None, instance_id="") -> AbcReport:
         raise CasError("WRONG_CHARACTERISTIC", "these corollaries are characteristic-0 statements")
     if not _common_gates(rep, fs):
         return rep
-    vanishing = _vanishing(fs)
-    ok, witness = _subsum_gcd_condition(fs, vanishing)
+    vanishing, base = _vanishing(fs), coprime_base(fs)
+    ok, witness = _subsum_gcd_condition(base, vanishing)
     if not rep.add_hypothesis("vanishing_subsum_gcd", ok, witness=witness):
         return rep
     blocks = split_vanishing_subsums(fs, vanishing)
-    analyses, live = _analyze_blocks(rep, fs, blocks, vanishing)
+    live = _analyze_blocks(rep, fs, blocks, vanishing, base)
     spec = fs[0].spec
     block_of = {i: ana for ana in live for i in ana.indices}
 

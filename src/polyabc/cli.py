@@ -28,11 +28,18 @@ from .wronskian import find_certificate, index_of_independence, require_f_indepe
 COMMANDS = ("norm", "counting", "radical", "sqfree", "hasse", "wronskian",
             "independence", "verify-basic", "verify-abc1", "verify-abc2",
             "corollaries", "corpus-run")
+MAX_RHO = 64  # characters and decimal exponent of a sample radius
 
 
 def _parse_rhos(parts):
     try:
-        return [Fraction(str(part)) for part in parts]
+        texts = [str(part) for part in parts]
+        for text in texts:  # before Fraction builds 10^exponent
+            exp = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+            if len(text) > MAX_RHO or exp.isdecimal() and int(exp) > MAX_RHO:
+                raise CasError("GUARD_EXCEEDED", f"sample radius {text[:MAX_RHO]!r} exceeds "
+                               f"{MAX_RHO} characters or exponent {MAX_RHO}")
+        return [Fraction(text) for text in texts]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise CasError("VALIDATION_ERROR", f"bad sample radius: {exc}") from exc
 

@@ -13,15 +13,15 @@ goes only as deep as its caller's level needs.  Each object is one product
 prod a_i^min(i, cap) over the i that p^(s+1) does not divide: R_{p^s}(f)
 (cap 1), S(f) (cap 1, every i), gcd(f, S(f)^ell) (cap ell, every i) and
 gcd(f, R_{p^sigma}(f)^a) (cap a, s = sigma).  Callers that need several of
-them for one polynomial pass its decomposition as ``parts``.  A product of
-several polynomials is decomposed from its factors' decompositions
-(``product_decomposition``), never from the product.
+them for one polynomial pass its decomposition as ``parts``.  A tuple gets
+one coprime base (``coprime_base``): every subset gcd is a lookup on it, and
+the decomposition of the tuple's product is read off it, never formed.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import not_
+from operator import add, not_
 
 from .errors import CasError
 from .fields import int_log
@@ -103,45 +103,46 @@ def square_free_decomposition(f: MvPoly, top: int) -> tuple:
     return tuple(sorted(parts, key=lambda part: part[0]))
 
 
-def product_decomposition(fs, coprime: bool = False) -> tuple:
-    """The full square-free decomposition of F = prod fs, as pairs (mu, b) in
-    increasing mu with squarefree, pairwise coprime, graded-lex monic b, read
-    off each nonconstant f's decomposition at its own stable level; F itself
-    is never formed.
+def _refine(base: list, a: MvPoly, ea: tuple) -> None:
+    """Refine the monic a^ea into the pairwise coprime pairs (b, eb) of base,
+    in place.  A nonconstant g = gcd(a, b) splits b into g (ea + eb) and b / g
+    (eb), which divide b, so they are refined only against each other, and
+    a / g only against them and the b after them."""
+    i = 0
+    while i < len(base) and not a.is_constant():
+        b, eb = base[i]
+        g = poly_gcd(a, b)
+        if g.is_constant():
+            i += 1
+            continue
+        pieces = [(g, tuple(map(add, ea, eb)))]
+        _refine(pieces, exact_div(b, g), eb)
+        base[i:i + 1], a = pieces, exact_div(a, g)
+    if not a.is_constant():
+        base.append((a, ea))
 
-    The parts of every f are refined into a coprime base (factor refinement):
-    a part (i, a) splits each base element (mu, b) it meets into
-    (mu + i, gcd(a, b)) and (mu, b / gcd(a, b)).  Parts are squarefree, so
-    one pass suffices, and parts of one f are coprime, so they are never
-    compared.  When the caller has proved the fs pairwise coprime, the parts
-    are simply concatenated.  Equal mu are not grouped: ``_product`` takes
-    the product over them."""
+
+def coprime_base(fs) -> list:
+    """Pairs (b, e): nonconstant, graded-lex monic, pairwise coprime b with
+    f_j = c_j * prod b^e[j] for every j (factor refinement, Bach, Driscoll and
+    Shallit 1993): gcds and exact divisions alone, so never NOT_A_POWER."""
     base = []
-    for f in fs:
-        if f.is_constant():
-            continue
-        parts = square_free_decomposition(f, stable_radical_level(f))
-        if coprime:
-            base += parts
-            continue
-        new = []
-        for i, a in parts:
-            rest = []
-            for mu, b in base:
-                g = poly_gcd(a, b)
-                if g.is_constant():
-                    rest.append((mu, b))
-                    continue
-                new.append((mu + i, g))
-                b = exact_div(b, g)
-                if not b.is_constant():
-                    rest.append((mu, b))
-                a = exact_div(a, g)
-            if not a.is_constant():
-                new.append((i, a))
-            base = rest
-        base += new
-    return tuple(sorted(base, key=lambda part: part[0]))
+    for j, f in enumerate(fs):
+        if f.is_zero():
+            raise CasError("ZERO_POLY", "coprime base of a zero polynomial")
+        if not f.is_constant():
+            _refine(base, f.normalized(), tuple([int(i == j) for i in range(len(fs))]))
+    return base
+
+
+def product_decomposition(base) -> tuple:
+    """The full square-free decomposition of F = prod f_j, pairs (mu, a) in
+    increasing mu: each part (i, a) of each (b, e) of the f_j's coprime base,
+    at b's stable level, with mu = i * sum(e); F is never formed, and equal mu
+    are not grouped (``_product`` multiplies them)."""
+    return tuple(sorted(((sum(e) * i, a) for b, e in base
+                         for i, a in square_free_decomposition(b, stable_radical_level(b))),
+                        key=lambda part: part[0]))
 
 
 def capped_parts(f: MvPoly, parts, cap: int, s: int | None = None) -> list:

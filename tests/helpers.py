@@ -10,7 +10,9 @@ p and a Euclid on lists of ``Coeff``, the references for ``Ring.conv``,
 of independence by one level search per field basis, the reference for
 ``collection_independence_index``, and the subresultant gcd and Yun's
 square-free decomposition on ``MvPoly`` values, the references for the
-recursive dense kernel behind ``poly_gcd`` and ``square_free_decomposition``.
+recursive dense kernel behind ``poly_gcd`` and ``square_free_decomposition``,
+and the gcd of a subset of functions by a chain of ``poly_gcd`` calls, the
+reference for the subset-gcd lookups on ``radicals.coprime_base``.
 Functions that only the tests call live here too: ``partial_derivative``,
 ``gen_wronskian``, and the former methods ``min_degree``, ``degree_in``,
 ``initial_slope``, ``is_nonnegative``, ``n_at`` and ``validate_certificate``
@@ -23,7 +25,7 @@ Functions that only the tests call live here too: ``partial_derivative``,
     from helpers import ref_add, ref_exact_div, ref_mul, ref_sub
     from helpers import ref_coeff_gcd, ref_fp_add, ref_fp_divmod, ref_fp_gcd, ref_fp_mul
     from helpers import independent_over_power_subfield, ref_collection_index
-    from helpers import ref_poly_gcd, ref_square_free_decomposition
+    from helpers import ref_gcd_of, ref_poly_gcd, ref_square_free_decomposition
     from helpers import initial_slope, is_nonnegative, min_degree, n_at
     from helpers import degree_in, gen_wronskian, validate_certificate
     from helpers import ref_upper_envelope
@@ -37,7 +39,7 @@ from itertools import combinations
 from polyabc.errors import CasError, NotDivisible, ParseError
 from polyabc.fields import NEG_INFINITY, Coeff, FieldSpec, parse_coeff
 from polyabc.hasse import hasse_derivative, poly_pth_root
-from polyabc.mvpoly import MvPoly, exact_div, grlex_key
+from polyabc.mvpoly import MvPoly, exact_div, grlex_key, poly_gcd
 from polyabc.nevanlinna import PiecewiseLinear, counting
 from polyabc.wronskian import (_component_matrix, bareiss_det, f_independent, f_rank,
                                poly_matrix_rank)
@@ -496,6 +498,17 @@ def ref_square_free_decomposition(f: MvPoly, top: int) -> tuple:
         deeper = ref_square_free_decomposition(poly_pth_root(g.normalized(), 1), top - 1)
         parts += [(p * j, a) for j, a in deeper]
     return tuple(sorted(parts, key=lambda part: part[0]))
+
+
+def ref_gcd_of(fs, idxs) -> MvPoly:
+    """A gcd of the functions at two or more indices ``idxs``: constant, or
+    graded-lex monic as ``poly_gcd`` returns it."""
+    acc = None
+    for i in idxs:
+        acc = fs[i] if acc is None else poly_gcd(acc, fs[i])
+        if acc.is_constant():
+            break
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyabc.abcengine import (AbcReport, BlockAnalysis, _circuits, _divisibility_ledger,
-                               _subsum_gcd_condition, _vanishing, analyze_block, bm_partition,
+                               _first_bad_subset, _subsum_gcd_condition, _vanishing,
+                               analyze_block, bm_partition,
                                detect_k, split_vanishing_subsums, verify_abc_first,
                                verify_abc_second, verify_basic_abc, verify_corollaries)
 from polyabc.errors import CasError
 from polyabc.instances import MAX_POLYS, CorpusSpec, field_spec_from_code, generate_corpus
 from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.nevanlinna import truncated_counting
+from polyabc.radicals import coprime_base
 from polyabc.wronskian import f_independent, f_rank
 
-from conftest import F2, F2T, F3, F3T, F5, Q2, Q3, property_coeff, random_coeff, random_poly
+from conftest import (F2, F2T, F3, F3T, F5, Q2, Q3, property_coeff, property_polys, random_coeff,
+                      random_poly)
+from helpers import ref_gcd_of
 from test_wronskian import _largest_nonzero_minor
 
 
@@ -179,7 +183,8 @@ def test_bm_partition_minimality_random():
             assert vanishing == _brute_vanishing(fs)
             assert split_vanishing_subsums(fs) == _brute_split(fs)
             assert _circuits(fs) == _brute_circuits(fs)
-            assert _subsum_gcd_condition(fs, vanishing)[0] == _brute_subsum_gcd_ok(fs)
+            assert (_subsum_gcd_condition(coprime_base(fs), vanishing)[0]
+                    == _brute_subsum_gcd_ok(fs))
             try:
                 part = bm_partition(fs)
             except CasError as exc:
@@ -286,7 +291,7 @@ def test_coefficient_ranks_match_minors(spec):
 def test_constants_example_char0():
     z, one = _z(Q2), _one(Q2)
     fs = [z * z, _c(Q2, 2) * z + one, -(z + one) ** 2]
-    consts = analyze_block(fs).constants
+    consts = analyze_block(fs, base=coprime_base(fs)).constants
     assert (consts.d, consts.c, consts.a, consts.b) == (2, 1, 1, 1)
     assert consts.b >= consts.a_bar >= consts.a >= 1
 
@@ -294,7 +299,7 @@ def test_constants_example_char0():
 def test_constants_example_charp():
     zp, one = _z(F3), _one(F3)
     fs = [one, zp ** 3, -(one + zp ** 3)]
-    consts = analyze_block(fs).constants
+    consts = analyze_block(fs, base=coprime_base(fs)).constants
     assert (consts.c, consts.a, consts.sigma) == (3, 3, 1)
     assert 3 ** consts.sigma <= consts.a
 
@@ -311,7 +316,7 @@ def test_constants_char0_quadratic_chain():
             continue
         fs.append(closure)
         try:
-            consts = analyze_block(fs).constants
+            consts = analyze_block(fs, base=coprime_base(fs)).constants
         except CasError:
             continue
         assert consts.b >= consts.a * (consts.a + 1) // 2
@@ -320,9 +325,77 @@ def test_constants_char0_quadratic_chain():
 def test_detect_k():
     z, one = _z(Q2), _one(Q2)
     fs = [z, z, one, -(one + _c(Q2, 2) * z)]
-    assert detect_k(fs) == 3
+    assert detect_k(coprime_base(fs), range(4)) == 3
     fs2 = [z, one, -(one + z)]
-    assert detect_k(fs2) == 2
+    assert detect_k(coprime_base(fs2), range(3)) == 2
+
+
+@st.composite
+def _shared_factor_tuples(draw):
+    """2 to 5 functions over Q_p, F_p or F_p(t), each a nonzero constant times
+    powers of one shared pool of polynomials, with deg prod fs <= 10: they
+    share factors with multiplicity, may be constant, may repeat one
+    another, and may all carry the pool's first polynomial."""
+    pool = draw(property_polys([Q2, Q3, F2, F3, F5, F2T, F3T], 3))
+    spec, m = pool[0].spec, pool[0].m
+    pool = [g for g in pool if not g.is_constant()]
+    common = bool(pool) and draw(st.booleans())
+    budget = 10 - (pool[0].total_degree() * 5 if common else 0)
+    fs = []
+    for _ in range(draw(st.integers(2, 5))):
+        f = _c(spec, draw(st.integers(1, spec.p - 1)), m)
+        for g in pool:
+            e = min(draw(st.integers(0, 2)), max(budget, 0) // g.total_degree())
+            budget -= e * g.total_degree()
+            f = f * g ** e
+        fs.append(f * pool[0] if common else f)
+    if draw(st.booleans()):
+        fs[draw(st.integers(0, len(fs) - 1))] = fs[0]
+    return fs
+
+
+def _ref_detect_k(fs, idxs, max_k=None):
+    hi = max_k if max_k is not None else len(idxs)
+    return next((k for k in range(2, hi + 1)
+                 if all(ref_gcd_of(fs, sub).is_constant() for sub in combinations(idxs, k))),
+                None)
+
+
+def _ref_subsum_gcd_condition(fs, vanishing):
+    for sub in vanishing:
+        if len(sub) >= 2:
+            g = ref_gcd_of(fs, sub)
+            if not g.is_constant():
+                return False, f"subsum {list(sub)} vanishes with gcd {g}"
+    return True, ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_factor_tuples(), st.data())
+def test_property_coprime_base_matches_subset_gcds(fs, data):
+    # the base: nonconstant, graded-lex monic, pairwise coprime, and each
+    # f_j is a constant times prod b^e[j]; every subset-gcd answer read off
+    # it equals the poly_gcd chain over combinations
+    n = len(fs)
+    base = coprime_base(fs)
+    for i, (b, e) in enumerate(base):
+        assert not b.is_constant() and b == b.normalized() and len(e) == n and any(e)
+        assert all(poly_gcd(b, c).is_constant() for c, _ in base[i + 1:])
+    for j, f in enumerate(fs):
+        back = _one(f.spec, f.m)
+        for b, e in base:
+            back = back * b ** e[j]
+        assert back == f.normalized()
+    idxs = sorted(data.draw(st.sets(st.integers(0, n - 1)), label="indices"))
+    for max_k in (None, 2, n - 1):
+        assert detect_k(base, idxs, max_k) == _ref_detect_k(fs, idxs, max_k)
+    for k in range(2, n + 1):
+        assert _first_bad_subset(base, k) == next(
+            (list(sub) for sub in combinations(range(n), k)
+             if not ref_gcd_of(fs, sub).is_constant()), None)
+    subsets = st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(tuple)
+    vanishing = data.draw(st.lists(subsets, max_size=4), label="vanishing")
+    assert _subsum_gcd_condition(base, vanishing) == _ref_subsum_gcd_condition(fs, vanishing)
 
 
 # -- the basic theorem ---------------------------------------------------------
@@ -470,7 +543,7 @@ def test_second_bb_bound_on_k3():
     # triple-wise coprime, not pairwise: shared linear factors among pairs
     z, one = _z(Q3), _one(Q3)
     fs = [z, z, one, -(one + _c(Q3, 2) * z)]
-    assert detect_k(fs) == 3
+    assert detect_k(coprime_base(fs), range(4)) == 3
     rep = verify_abc_second(fs)
     assert rep.verdict == "HOLDS"
     assert "triple_gcd_bound" in rep.degree_checks

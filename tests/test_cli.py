@@ -296,6 +296,33 @@ def test_non_integer_params_are_validation_errors(tmp_path, command, params):
     assert json.loads(out)["error"] == "VALIDATION_ERROR"
 
 
+_HUGE_RHOS = ["1e999999999", "1e5000", "-1E-5000", "1e9_999", " 1e99 ", "1" * 65]
+
+
+@pytest.mark.parametrize("rho", _HUGE_RHOS)
+def test_oversized_rho_is_guarded(tmp_path, rho):
+    # refused before Fraction builds the value: 1e5000 used to end in an
+    # uncaught ValueError when the report printed it
+    from polyabc.instances import Instance
+    from polyabc.mvpoly import MvPoly
+    from conftest import Q2
+
+    z, one = MvPoly.variable(Q2, 1, 0), MvPoly.one(Q2, 1)
+    inst = Instance("huge-rho", Q2, ["z1"], [z, one, -(z + one)], {"rho": ["0", rho]})
+    for argv in (["--instance", "instances/sum_char0.json", f"--rho=0,{rho}"],
+                 ["--instance", _write_instance(tmp_path, inst)]):
+        code, out = _run(["norm", "--format", "machine"] + argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "GUARD_EXCEEDED"
+
+
+def test_rho_at_the_guard_is_accepted():
+    code, out = _run(["norm", "--instance", "instances/sum_char0.json",
+                      "--rho=1e64,-1e-64," + "1" * 64, "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["profiles"][0]["values"][0] == ["1" + "0" * 64, "2" + "0" * 64]
+
+
 @pytest.mark.parametrize("p, exponent", [("x", 1), (3, "a"), (3.5, 1), (3, 1.5)])
 def test_field_prime_and_exponents_must_be_integers(tmp_path, p, exponent):
     doc = {"id": "bad-ints", "field": {"kind": "prime_field", "p": p}, "vars": ["z1"],

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyabc.abcengine import detect_k
 from polyabc.errors import CasError
 from polyabc.fields import RATFUNC_T_ADIC
 from polyabc.mvpoly import MvPoly, poly_gcd
 from polyabc.oracle import divides, multiplicity, squarefree_factor_oracle
 from polyabc.radicals import _product as parts_product
-from polyabc.radicals import (higher_radical, product_decomposition, radical,
+from polyabc.radicals import (coprime_base, higher_radical, product_decomposition, radical,
                               radical_chain, sigma_radical_gcd, square_free_decomposition,
                               square_free_part, stable_radical_level, trunc_gcd)
 
@@ -427,7 +428,7 @@ def test_property_product_decomposition_matches_product(case):
     fs, planted = case
     F = _full_product(fs)
     want, want_err = _decompose(lambda: square_free_decomposition(F, stable_radical_level(F)))
-    got, got_err = _decompose(lambda: product_decomposition(fs))
+    got, got_err = _decompose(lambda: product_decomposition(coprime_base(fs)))
     assert got_err == want_err
     if planted:
         assert got_err == "NOT_A_POWER"
@@ -439,23 +440,36 @@ def test_property_product_decomposition_matches_product(case):
         assert parts_product(F, got, cap) == parts_product(F, want, cap)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_factor_tuples())
-def test_property_coprime_path_is_the_general_path(case):
-    # on pairwise coprime functions nothing splits, so concatenating the
-    # parts gives the general path's tuple itself
-    fs, _ = case
-    assume(all(poly_gcd(f, g).is_constant() for i, f in enumerate(fs) for g in fs[i + 1:]))
-    got, err = _decompose(lambda: product_decomposition(fs))
-    assert _decompose(lambda: product_decomposition(fs, coprime=True)) == (got, err)
-
-
 def test_product_decomposition_splits_shared_factors():
     z, one = _z(F3), MvPoly.one(F3, 1)
     a, b, c = z, z + one, z + _c(F3, 2)
     fs = [a ** 2 * b, b ** 3 * c, _c(F3, 2), a * c]
-    assert product_decomposition(fs) == ((2, c), (3, a), (4, b))
-    assert product_decomposition([a * b, a * b]) == ((2, (a * b).normalized()),)
+    assert product_decomposition(coprime_base(fs)) == ((2, c), (3, a), (4, b))
+    assert product_decomposition(coprime_base([a * b, a * b])) == ((2, (a * b).normalized()),)
+
+
+def test_coprime_base_needs_no_pth_root():
+    # z2^2 + t + 1 is irreducible and inseparable over F_2(t): its own
+    # decomposition at level 1 needs the missing square root of t + 1, but the
+    # base takes only gcds and quotients; the product's decomposition, read
+    # off the base, still raises exactly where F's own does
+    z1, z2 = _z(F2T, 2, 0), _z(F2T, 2, 1)
+    one = MvPoly.one(F2T, 2)
+    h = z2 ** 2 + MvPoly.constant(F2T, 2, F2T.t()) + one
+    with pytest.raises(CasError) as exc:
+        square_free_decomposition(h, 1)
+    assert exc.value.code == "NOT_A_POWER"
+    fs = [z1 * h, z1 * (z1 + one), h ** 2, one]
+    base = coprime_base(fs)
+    assert sorted((str(b), e) for b, e in base) == sorted(
+        [(str(h), (1, 0, 2, 0)), (str(z1), (1, 1, 0, 0)), (str(z1 + one), (0, 1, 0, 0))])
+    assert detect_k(base, range(4)) == 3 and detect_k(base, [0, 2]) is None
+    F = _full_product(fs)
+    for compute in (lambda: product_decomposition(base),
+                    lambda: square_free_decomposition(F, stable_radical_level(F))):
+        with pytest.raises(CasError) as exc:
+            compute()
+        assert exc.value.code == "NOT_A_POWER"
 
 
 @pytest.mark.parametrize("spec", [Q2, F2, F3, F2T, F3T])
